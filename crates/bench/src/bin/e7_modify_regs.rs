@@ -16,7 +16,7 @@ use raco_bench::sweep::{sample_seed, CellKey};
 use raco_bench::table::{f1, f2, Table};
 use raco_core::random::{PatternGenerator, Spread};
 use raco_core::{Optimizer, OptimizerOptions};
-use raco_graph::PathCover;
+use raco_graph::{ModifyAllocation, PathCover};
 use raco_ir::{AguSpec, MemoryLayout, Trace};
 
 fn main() {
@@ -125,11 +125,8 @@ fn main() {
                 for (i, l) in [0usize, 1, 2].into_iter().enumerate() {
                     // Residual = paths' over-range deltas not absorbed by
                     // the L most frequent values.
-                    let modif = raco_agu::modify::ModifyAllocation::for_cover(
-                        alloc.cover(),
-                        alloc.distance_model(),
-                        l,
-                    );
+                    let modif =
+                        ModifyAllocation::for_cover(alloc.cover(), alloc.distance_model(), l);
                     let residual =
                         cover_cost_with_modify(alloc.cover(), alloc.distance_model(), &modif);
                     by_l[i].push(f64::from(residual));
@@ -159,7 +156,7 @@ fn main() {
 fn cover_cost_with_modify(
     cover: &PathCover,
     dm: &raco_graph::DistanceModel,
-    modify: &raco_agu::modify::ModifyAllocation,
+    modify: &ModifyAllocation,
 ) -> u32 {
     let mut cost = 0;
     for path in cover.paths() {

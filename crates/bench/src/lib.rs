@@ -24,7 +24,6 @@ pub mod kernels_exp;
 pub mod stats;
 pub mod sweep;
 pub mod table;
-pub mod trajectory;
 
 use std::path::PathBuf;
 

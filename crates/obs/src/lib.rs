@@ -10,10 +10,8 @@
 //! * [`Registry`] — a named collection of the above. A process-wide
 //!   instance is available through [`global()`]; per-component instances
 //!   (e.g. one per server) are plain `Registry::new()` values.
-//! * [`SpanTimer`] / [`span!`] / [`TraceSink`] — RAII timers that record
-//!   elapsed wall time into a named histogram on drop, plus an optional
-//!   structured sink that captures a parent/child span tree for a single
-//!   compile.
+//! * [`SpanTimer`] / [`span!`] — RAII timers that record elapsed wall
+//!   time into a named histogram on drop.
 //!
 //! All durations are recorded in **nanoseconds**; presentation layers
 //! convert to microseconds when rendering.
@@ -35,13 +33,11 @@ mod histogram;
 mod metrics;
 mod registry;
 mod span;
-mod trace;
 
 pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
 pub use metrics::{Counter, Gauge};
 pub use registry::Registry;
 pub use span::SpanTimer;
-pub use trace::{SpanRecord, TraceSink, TraceSpan};
 
 static GLOBAL: Registry = Registry::new();
 

@@ -6,7 +6,6 @@
 //! raco serve [options]             long-lived NDJSON compile service
 //! raco loadgen [options]           replay a mixed-machine trace against `raco serve`
 //! raco fuzz [options]              adversarial long-runner against `raco serve`
-//! raco bench-trajectory [options]  run the pipeline benchmark suite
 //! raco help                        this text
 //! ```
 //!
@@ -60,10 +59,6 @@
 //!     --max-cases <N>    stop after N cases even if budget remains
 //!     --failures-dir <d> where minimal repros go (default fuzz-failures/)
 //!     --transport <t>    stdio (default) or tcp
-//!
-//! bench-trajectory-only:
-//!     --quick            fewer samples (CI smoke mode)
-//!     --label <s>        label stamped into the report (default "local")
 //! ```
 //!
 //! Exit status (uniform across subcommands):
@@ -92,7 +87,6 @@ struct CliOptions {
     validate: bool,
     listing: bool,
     timings: bool,
-    quick: bool,
     label: Option<String>,
     json: bool,
     output: Option<PathBuf>,
@@ -131,7 +125,6 @@ impl Default for CliOptions {
             validate: true,
             listing: false,
             timings: false,
-            quick: false,
             label: None,
             json: false,
             output: None,
@@ -168,7 +161,6 @@ fn usage() -> &'static str {
      \x20 raco serve [options]             long-lived NDJSON compile service\n\
      \x20 raco loadgen [options]           replay a mixed-machine trace against `raco serve`\n\
      \x20 raco fuzz [options]              adversarial long-runner against `raco serve`\n\
-     \x20 raco bench-trajectory [options]  run the pipeline benchmark suite\n\
      \x20 raco help                        this text\n\
      \n\
      options:\n\
@@ -218,10 +210,6 @@ fn usage() -> &'static str {
      \x20     --failures-dir <d> where minimal repros go (default fuzz-failures/)\n\
      \x20     --transport <t>    stdio (default) or tcp\n\
      \n\
-     bench-trajectory-only options:\n\
-     \x20     --quick            fewer samples (CI smoke mode)\n\
-     \x20     --label <s>        label stamped into the report (default \"local\")\n\
-     \n\
      exit status:\n\
      \x20 0  every loop compiled (and validated); serve: clean shutdown\n\
      \x20 1  at least one loop failed to compile or validate\n\
@@ -257,7 +245,6 @@ fn parse_options(args: Vec<String>) -> Result<CliOptions, String> {
             "--no-validate" => options.validate = false,
             "--listing" => options.listing = true,
             "--timings" => options.timings = true,
-            "--quick" => options.quick = true,
             "--label" => {
                 let value = iter.next().ok_or_else(|| format!("{arg} needs a value"))?;
                 options.label = Some(value);
@@ -741,33 +728,6 @@ fn run() -> Result<bool, String> {
                 );
             }
             Ok(outcome.failures.is_empty())
-        }
-        "bench-trajectory" => {
-            let options = parse_options(args)?;
-            if !options.paths.is_empty() {
-                return Err("bench-trajectory: unexpected positional arguments".to_owned());
-            }
-            let benches = raco_bench::trajectory::run(options.quick);
-            let label = options.label.clone().unwrap_or_else(|| "local".to_owned());
-            let json = raco_bench::trajectory::report_json(&label, &benches);
-            let path = options
-                .output
-                .clone()
-                .unwrap_or_else(raco_bench::trajectory::default_output_path);
-            let mut rendered = json.render();
-            rendered.push('\n');
-            std::fs::write(&path, rendered).map_err(|e| format!("{}: {e}", path.display()))?;
-            if !options.quiet {
-                println!("bench      unit  median  samples");
-                for bench in &benches {
-                    println!(
-                        "{:<24} {:>4} {:>10.1} {:>8}",
-                        bench.name, bench.unit, bench.value, bench.samples
-                    );
-                }
-                println!("trajectory written to {}", path.display());
-            }
-            Ok(true)
         }
         other => Err(format!("unknown command `{other}`\n\n{}", usage())),
     }

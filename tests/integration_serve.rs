@@ -282,6 +282,11 @@ fn second_identical_request_is_a_cache_hit() {
         "second identical request must add hits ({h1} → {h2})"
     );
     assert_eq!(m2, m1, "…and no new misses");
+    assert_eq!(
+        h2 - h1,
+        h1 + m1,
+        "every lookup of the repeat hits, so repeated traffic is hit-dominated"
+    );
 
     // The compiled results themselves are identical.
     assert_eq!(
