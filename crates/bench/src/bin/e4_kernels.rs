@@ -14,8 +14,9 @@ fn main() {
     for k in [2usize, 4, 6] {
         let agu = AguSpec::new(k, 1).unwrap();
         let kernels: Vec<_> = raco_kernels::suite()
-            .into_iter()
+            .iter()
             .filter(|kernel| kernel.spec().patterns().len() <= k)
+            .cloned()
             .collect();
         let rows = compare_suite(&kernels, agu, iterations);
 

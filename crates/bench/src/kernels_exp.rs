@@ -142,7 +142,7 @@ mod tests {
             if kernel.spec().patterns().len() > agu.address_registers() {
                 continue;
             }
-            let row = compare_kernel(&kernel, agu, 64);
+            let row = compare_kernel(kernel, agu, 64);
             assert!(
                 row.opt_cycles <= row.chain_cycles,
                 "{}: optimized {} vs chain {}",

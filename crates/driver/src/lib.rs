@@ -28,9 +28,10 @@
 //!
 //! The pipeline is `Sync` and every `compile_*` method takes `&self`,
 //! so one instance (and its warm cache) can serve many threads,
-//! requests and connections; `raco-serve` is exactly that, with
-//! [`Pipeline::compile_units_with`] applying per-request configuration
-//! over the shared cache.
+//! requests and connections; `raco-serve` is exactly that: it parses
+//! each request once ([`ParsedBatch::parse`]), routes on the lowered
+//! loops, and runs [`Pipeline::compile_batch_with`] under per-request
+//! configuration over a shard's shared cache.
 //!
 //! ## Example
 //!
@@ -82,7 +83,9 @@ pub mod timings;
 pub use cache::{AllocationCache, CachePolicy, CacheStats};
 pub use json::{Json, JsonParseError};
 pub use persist::{LoadReport, PersistError, SaveReport};
-pub use pipeline::{DriverError, Pipeline, PipelineConfig, NEST_VALIDATION_CAP, SOURCE_EXTENSIONS};
+pub use pipeline::{
+    DriverError, ParsedBatch, Pipeline, PipelineConfig, NEST_VALIDATION_CAP, SOURCE_EXTENSIONS,
+};
 pub use pool::Parallelism;
 pub use report::{CompilationReport, LoopFailure, LoopReport, UnitReport};
 pub use timings::StageTiming;

@@ -10,11 +10,14 @@
 //! ```
 //!
 //! — fanning independent loops out across a worker pool and assembling
-//! a [`CompilationReport`]. The pipeline is `Sync`: a long-lived server
-//! can share one instance (and thus one warm cache) across requests.
+//! a [`CompilationReport`]. Every compile is two steps:
+//! [`ParsedBatch::parse`] parses and lowers the sources, and
+//! [`Pipeline::compile_batch_with`] compiles the lowered loops. The
+//! pipeline is `Sync`: a long-lived server can share one instance (and
+//! thus one warm cache) across requests.
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use raco_agu::codegen::CodeGenerator;
 use raco_agu::isa::AddressProgram;
@@ -156,6 +159,101 @@ impl PipelineConfig {
             .with_modify_registers(self.agu.modify_registers())
             .with_adda_cost(self.agu.cost_table().adda());
         options
+    }
+}
+
+/// A batch of lowered loops: the output of the pipeline's parse step
+/// and the input of its compile step
+/// ([`Pipeline::compile_batch_with`]).
+///
+/// The batch carries its own `parse`/`lower` stage samples and parse
+/// time, so the compile step's report accounts for the whole batch
+/// even when parsing ran on another thread.
+#[derive(Debug)]
+pub struct ParsedBatch {
+    /// Unit names, in input order.
+    units: Vec<String>,
+    /// Every lowered loop with the index of its unit, in source order.
+    loops: Vec<(usize, LoopSpec)>,
+    timings: BatchTimings,
+    parse_time: Duration,
+}
+
+impl ParsedBatch {
+    /// Parses and lowers named `(name, source)` units; each unit's
+    /// loops are named `loop0`, `loop1`, … in source order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DriverError::Parse`] on the first unit that fails to
+    /// parse or lower.
+    pub fn parse(units: &[(String, String)]) -> Result<Self, DriverError> {
+        let started = Instant::now();
+        let timings = BatchTimings::new();
+        // Parsing and lowering are timed as separate stages (this is
+        // `dsl::parse_program` split at its two halves, with identical
+        // naming and error mapping). The stages are timed
+        // boundary-to-boundary with one shared clock read per boundary
+        // — reading the clock is not free on every host, so the glue
+        // between stages lands in the following stage's sample instead
+        // of paying an extra read to exclude it.
+        let mut loops: Vec<(usize, LoopSpec)> = Vec::new();
+        let mut names: Vec<String> = Vec::with_capacity(units.len());
+        let mut mark = started;
+        for (index, (name, source)) in units.iter().enumerate() {
+            let parsed = dsl::parse_unit(source);
+            let now = Instant::now();
+            timings.record_ns(Stage::Parse, now.duration_since(mark).as_nanos() as u64);
+            mark = now;
+            let (decls, asts) = parsed.map_err(|error| DriverError::Parse {
+                unit: name.clone(),
+                error,
+            })?;
+            names.push(name.clone());
+            for (i, ast) in asts.iter().enumerate() {
+                let lowered = dsl::lower_unit_loop(&decls, ast);
+                let now = Instant::now();
+                timings.record_ns(Stage::Lower, now.duration_since(mark).as_nanos() as u64);
+                mark = now;
+                let mut spec = lowered.map_err(|e| DriverError::Parse {
+                    unit: name.clone(),
+                    error: e.attach_source(source),
+                })?;
+                spec.set_name(&format!("loop{i}"));
+                loops.push((index, spec));
+            }
+        }
+        Ok(ParsedBatch {
+            units: names,
+            loops,
+            timings,
+            parse_time: mark.duration_since(started),
+        })
+    }
+
+    /// The whole `raco-kernels` suite as one unit, `raco-kernels`, with
+    /// each loop named after its kernel. The suite is lowered once per
+    /// process, so this batch records no parse time.
+    pub fn kernels() -> Self {
+        let loops = raco_kernels::suite()
+            .iter()
+            .map(|kernel| {
+                let mut spec = kernel.spec().clone();
+                spec.set_name(kernel.name());
+                (0, spec)
+            })
+            .collect();
+        ParsedBatch {
+            units: vec!["raco-kernels".to_owned()],
+            loops,
+            timings: BatchTimings::new(),
+            parse_time: Duration::ZERO,
+        }
+    }
+
+    /// Every lowered loop, in unit and source order.
+    pub fn specs(&self) -> impl Iterator<Item = &LoopSpec> {
+        self.loops.iter().map(|(_, spec)| spec)
     }
 }
 
@@ -308,39 +406,7 @@ impl Pipeline {
 
     /// Compiles the whole `raco-kernels` suite as one batch workload.
     pub fn compile_kernels(&self) -> CompilationReport {
-        self.compile_kernels_with(&self.config)
-    }
-
-    /// Like [`compile_kernels`](Self::compile_kernels), but under a
-    /// per-request configuration (see
-    /// [`compile_units_with`](Self::compile_units_with)).
-    pub fn compile_kernels_with(&self, config: &PipelineConfig) -> CompilationReport {
-        let kernels = raco_kernels::suite();
-        let started = Instant::now();
-        let timings = BatchTimings::new();
-        let loops: Vec<(String, LoopSpec)> = kernels
-            .iter()
-            .map(|k| (k.name().to_owned(), k.spec().clone()))
-            .collect();
-        let compiled = map_parallel(config.parallelism, &loops, |_, (name, spec)| {
-            let (mut report, program) = self.compile_loop_timed(config, spec, &timings);
-            report.name = name.clone();
-            (report, program)
-        });
-        let mut unit_listing = config.listings.then(|| ProgramListing::new("raco-kernels"));
-        let mut reports = Vec::with_capacity(compiled.len());
-        for (report, program) in compiled {
-            if let (Some(listing), Some(program)) = (unit_listing.as_mut(), program) {
-                listing.push(report.name.clone(), program);
-            }
-            reports.push(report);
-        }
-        let units = vec![UnitReport {
-            name: "raco-kernels".to_owned(),
-            loops: reports,
-            listing: unit_listing.map(|l| l.to_string()),
-        }];
-        self.finish_report(config, units, loops.len(), started, &timings)
+        self.compile_batch_with(&self.config, ParsedBatch::kernels())
     }
 
     /// Compiles named `(name, source)` units as one batch: all loops of
@@ -360,17 +426,17 @@ impl Pipeline {
 
     /// Like [`compile_units`](Self::compile_units), but under a
     /// per-request configuration while still sharing this pipeline's
-    /// allocation cache.
+    /// allocation cache: [`ParsedBatch::parse`] followed by
+    /// [`compile_batch_with`](Self::compile_batch_with).
     ///
-    /// This is the entry point for request/response front ends
-    /// (`raco serve`): every cache key already includes the machine
-    /// parameters and optimizer options, so requests against different
-    /// machines can safely share one warm cache. Two fields of the
-    /// override are ignored because they are properties of the
-    /// pipeline, not of a request: [`PipelineConfig::cache_policy`]
-    /// (the cache was built when the pipeline was) and — when the
-    /// override disables it — [`PipelineConfig::caching`] only skips
-    /// the cache for that request without dropping existing entries.
+    /// Every cache key already includes the machine parameters and
+    /// optimizer options, so requests against different machines can
+    /// safely share one warm cache. Two fields of the override are
+    /// ignored because they are properties of the pipeline, not of a
+    /// request: [`PipelineConfig::cache_policy`] (the cache was built
+    /// when the pipeline was) and — when the override disables it —
+    /// [`PipelineConfig::caching`] only skips the cache for that
+    /// request without dropping existing entries.
     ///
     /// # Errors
     ///
@@ -381,48 +447,34 @@ impl Pipeline {
         config: &PipelineConfig,
         units: &[(String, String)],
     ) -> Result<CompilationReport, DriverError> {
-        let started = Instant::now();
-        let timings = BatchTimings::new();
-        // Parse up front: parse errors abort the batch, and parsing is
-        // cheap relative to allocation. Parsing and lowering are timed
-        // as separate stages (this is `dsl::parse_program` split at its
-        // two halves, with identical naming and error mapping). The
-        // stages are timed boundary-to-boundary with one shared clock
-        // read per boundary — reading the clock is not free on every
-        // host, so the glue between stages lands in the following
-        // stage's sample instead of paying an extra read to exclude it.
-        let mut work: Vec<(usize, LoopSpec)> = Vec::new();
-        let mut unit_names: Vec<String> = Vec::with_capacity(units.len());
-        let mut mark = started;
-        for (index, (name, source)) in units.iter().enumerate() {
-            let parsed = dsl::parse_unit(source);
-            let now = Instant::now();
-            timings.record_ns(Stage::Parse, now.duration_since(mark).as_nanos() as u64);
-            mark = now;
-            let (decls, asts) = parsed.map_err(|error| DriverError::Parse {
-                unit: name.clone(),
-                error,
-            })?;
-            unit_names.push(name.clone());
-            for (i, ast) in asts.iter().enumerate() {
-                let lowered = dsl::lower_unit_loop(&decls, ast);
-                let now = Instant::now();
-                timings.record_ns(Stage::Lower, now.duration_since(mark).as_nanos() as u64);
-                mark = now;
-                let mut spec = lowered.map_err(|e| DriverError::Parse {
-                    unit: name.clone(),
-                    error: e.attach_source(source),
-                })?;
-                spec.set_name(&format!("loop{i}"));
-                work.push((index, spec));
-            }
-        }
+        Ok(self.compile_batch_with(config, ParsedBatch::parse(units)?))
+    }
 
-        let compiled = map_parallel(config.parallelism, &work, |_, (unit, spec)| {
+    /// Compiles an already parsed batch under a per-request
+    /// configuration (see [`compile_units_with`](Self::compile_units_with)).
+    ///
+    /// This is the compile half of the pipeline: request/response front
+    /// ends (`raco serve`) parse on the connection thread, route on the
+    /// lowered loops and hand the batch to a shard, so each source is
+    /// parsed and lowered exactly once. The report's `elapsed` is the
+    /// batch's parse time plus this call's wall time.
+    pub fn compile_batch_with(
+        &self,
+        config: &PipelineConfig,
+        batch: ParsedBatch,
+    ) -> CompilationReport {
+        let started = Instant::now();
+        let ParsedBatch {
+            units,
+            loops,
+            timings,
+            parse_time,
+        } = batch;
+        let compiled = map_parallel(config.parallelism, &loops, |_, (unit, spec)| {
             (*unit, self.compile_loop_timed(config, spec, &timings))
         });
 
-        let mut reports: Vec<UnitReport> = unit_names
+        let mut reports: Vec<UnitReport> = units
             .into_iter()
             .map(|name| UnitReport {
                 name,
@@ -447,27 +499,15 @@ impl Pipeline {
         for (unit, listing) in reports.iter_mut().zip(listings) {
             unit.listing = Some(listing.to_string());
         }
-        let total = work.len();
-        Ok(self.finish_report(config, reports, total, started, &timings))
-    }
-
-    fn finish_report(
-        &self,
-        config: &PipelineConfig,
-        units: Vec<UnitReport>,
-        loops: usize,
-        started: Instant,
-        timings: &BatchTimings,
-    ) -> CompilationReport {
         CompilationReport {
-            units,
+            units: reports,
             address_registers: config.agu.address_registers(),
             modify_range: config.agu.modify_range(),
             update_range: config.agu.update_range(),
             costs: config.agu.cost_table(),
             modify_registers: config.agu.modify_registers(),
-            threads: config.parallelism.resolve(loops),
-            elapsed: started.elapsed(),
+            threads: config.parallelism.resolve(loops.len()),
+            elapsed: parse_time + started.elapsed(),
             cache: self.cache.stats(),
             timings: timings.finish(),
         }
@@ -480,22 +520,11 @@ impl Pipeline {
     /// callers with their own scheduling (or pre-parsed [`LoopSpec`]s)
     /// can reuse the cached hot path.
     pub fn compile_loop(&self, spec: &LoopSpec) -> (LoopReport, Option<AddressProgram>) {
-        self.compile_loop_with(&self.config, spec)
-    }
-
-    /// Like [`compile_loop`](Self::compile_loop), but under a
-    /// per-request configuration (see
-    /// [`compile_units_with`](Self::compile_units_with)).
-    pub fn compile_loop_with(
-        &self,
-        config: &PipelineConfig,
-        spec: &LoopSpec,
-    ) -> (LoopReport, Option<AddressProgram>) {
         // Standalone loops still feed the process-wide stage
         // histograms; batch entry points share one BatchTimings across
         // the pool instead.
         let timings = BatchTimings::new();
-        let out = self.compile_loop_timed(config, spec, &timings);
+        let out = self.compile_loop_timed(&self.config, spec, &timings);
         timings.finish();
         out
     }
@@ -540,7 +569,7 @@ impl Pipeline {
         let generator = CodeGenerator::new(config.agu);
         // Codegen and simulate are timed boundary-to-boundary: the
         // clock read that ends the codegen sample starts the simulate
-        // one (see compile_units_with on why reads are rationed).
+        // one (see ParsedBatch::parse on why reads are rationed).
         let codegen_started = Instant::now();
         let generated = generator.generate(spec, &allocation, &layout);
         let codegen_done = Instant::now();
@@ -680,7 +709,7 @@ impl Pipeline {
         // flag inside it routes the sample to the hit or miss histogram.
         // The curve → partition → allocation stages run back to back,
         // so they are timed boundary-to-boundary with one shared clock
-        // read per boundary (see compile_units_with).
+        // read per boundary (see ParsedBatch::parse).
         let mut mark = Instant::now();
         let mut curves: Vec<Vec<u32>> = Vec::with_capacity(patterns.len());
         for (pattern, canonical) in patterns.iter().zip(&canonicals) {

@@ -21,6 +21,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use std::sync::OnceLock;
+
 use raco_ir::dsl::{self, Expr, ForLoop};
 use raco_ir::LoopSpec;
 
@@ -398,29 +400,33 @@ pub fn suite_program() -> String {
     source
 }
 
-/// The full default suite, FIR variants included.
-pub fn suite() -> Vec<Kernel> {
-    vec![
-        fir(4),
-        fir(8),
-        biquad(),
-        convolution(),
-        correlation(),
-        dot_product(),
-        vector_add(),
-        n_real_updates(),
-        n_complex_updates(),
-        matmul_inner(8),
-        lms(),
-        lattice(),
-        fft_butterfly(),
-        iir_df1(),
-        decimator(),
-        conv2d(),
-        transpose(),
-        stencil5(),
-        paper_example(),
-    ]
+/// The full default suite, FIR variants included. Built (parsed and
+/// lowered) once per process.
+pub fn suite() -> &'static [Kernel] {
+    static SUITE: OnceLock<Vec<Kernel>> = OnceLock::new();
+    SUITE.get_or_init(|| {
+        vec![
+            fir(4),
+            fir(8),
+            biquad(),
+            convolution(),
+            correlation(),
+            dot_product(),
+            vector_add(),
+            n_real_updates(),
+            n_complex_updates(),
+            matmul_inner(8),
+            lms(),
+            lattice(),
+            fft_butterfly(),
+            iir_df1(),
+            decimator(),
+            conv2d(),
+            transpose(),
+            stencil5(),
+            paper_example(),
+        ]
+    })
 }
 
 #[cfg(test)]

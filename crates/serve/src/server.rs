@@ -1,12 +1,12 @@
 //! The service loop: shard-per-core pipelines behind stdio or TCP.
 //!
 //! A [`Server`] owns a set of shards (the private `shard` module), each
-//! with
-//! its own warm [`Pipeline`], and routes every compile by a consistent
-//! hash of its *canonical* cache key — so every repetition of a shape
-//! lands on the shard that already paid for its allocation. In the
-//! default single-shard configuration this degenerates to the original
-//! design: one pipeline, one cache, zero handoff overhead.
+//! with its own warm [`Pipeline`] and worker thread. The connection
+//! thread parses and lowers each compile once, routes it by a
+//! consistent hash of its *canonical* cache key — so every repetition
+//! of a shape lands on the shard that already paid for its allocation —
+//! and hands the lowered loops to that shard's queue. Every shard count
+//! runs this one path; a single shard is just a set of one.
 //!
 //! Transports:
 //!
@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use raco_driver::json::Json;
 use raco_driver::{
-    persist, AllocationCache, CompilationReport, LoadReport, PersistError, Pipeline,
+    persist, AllocationCache, CompilationReport, LoadReport, ParsedBatch, PersistError, Pipeline,
     PipelineConfig, SaveReport,
 };
 
@@ -77,10 +77,10 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 256;
 /// Default bound on concurrently served TCP connections.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 1024;
 
-/// Operational limits of the serve tier. [`Default`] reproduces the
-/// pre-shard behaviour exactly: one shard, inline execution, no
-/// deadlines — existing embedders and tests see no change unless they
-/// opt in.
+/// Operational limits of the serve tier. [`Default`] is the embedding
+/// posture: one shard, no deadlines (`raco serve` turns on the
+/// production defaults: one shard per core, 10 s read and 30 s compute
+/// deadlines).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeOptions {
     /// Shard workers to run; `0` means one per available core.
@@ -94,9 +94,11 @@ pub struct ServeOptions {
     pub read_deadline: Option<Duration>,
     /// A compile outrunning this budget gets a `compute_deadline`
     /// error; the connection survives and the shard finishes the
-    /// compile in the background (warming its cache for a retry).
-    /// `None` disables the deadline (and keeps single-shard servers on
-    /// the inline zero-handoff path).
+    /// compile in the background (warming its cache for a retry). The
+    /// budget starts when the request is queued on its shard, so it
+    /// covers queue wait and shard compute, not parsing (which runs
+    /// earlier, on the connection thread). `None` disables the
+    /// deadline.
     pub compute_deadline: Option<Duration>,
     /// Bound on concurrently served TCP connections; over-limit
     /// connects get an `ok:false` `busy` response and a clean close.
@@ -233,36 +235,14 @@ pub struct Reply {
     pub shutdown: bool,
 }
 
-/// What a routed compile runs on its shard.
-enum ComputeWork {
-    /// Named DSL units (a `compile` request, or one named kernel).
-    Units(Vec<(String, String)>),
-    /// The whole built-in kernel suite.
-    KernelSuite,
-}
-
 /// Why a routed compile produced no report.
 enum ComputeError {
-    /// The pipeline itself failed (parse error, driver error…).
-    Driver(String),
+    /// The shard's worker dropped the reply (it is gone).
+    Unavailable,
     /// The routed shard's queue was full.
     Shed(ShedError),
     /// The compile outran the compute deadline.
     Deadline(Duration),
-}
-
-/// Runs one unit of compute work against a shard's pipeline.
-fn run_work(
-    pipeline: &Pipeline,
-    config: &PipelineConfig,
-    work: &ComputeWork,
-) -> Result<CompilationReport, String> {
-    match work {
-        ComputeWork::Units(units) => pipeline
-            .compile_units_with(config, units)
-            .map_err(|e| e.to_string()),
-        ComputeWork::KernelSuite => Ok(pipeline.compile_kernels_with(config)),
-    }
 }
 
 /// A long-lived compile service over a consistent-hash shard set.
@@ -295,27 +275,8 @@ impl Server {
         }
         options.queue_depth = options.queue_depth.max(1);
         options.max_connections = options.max_connections.max(1);
-        // One shard with no compute deadline needs no worker handoff:
-        // jobs run inline on the submitting thread, exactly like the
-        // pre-shard server (loopback benches and embedders keep their
-        // zero-handoff latency).
-        let inline = options.shards == 1 && options.compute_deadline.is_none();
-        let shards = ShardSet::new(&config, options.shards, options.queue_depth, inline);
         Server {
-            shards,
-            options,
-            cache_save_path: None,
-            metrics: ServiceMetrics::new(),
-        }
-    }
-
-    /// Wraps an existing pipeline (e.g. one pre-warmed by a batch run
-    /// or one that loaded a cache snapshot at boot) as a single-shard
-    /// inline server.
-    pub fn with_pipeline(pipeline: Pipeline) -> Self {
-        let options = ServeOptions::default();
-        Server {
-            shards: ShardSet::from_pipeline(pipeline, options.queue_depth),
+            shards: ShardSet::new(&config, options.shards, options.queue_depth),
             options,
             cache_save_path: None,
             metrics: ServiceMetrics::new(),
@@ -343,8 +304,7 @@ impl Server {
     }
 
     /// Shard 0's pipeline. With the default single shard this is *the*
-    /// pipeline, exactly as before sharding; with more shards it is
-    /// only one slice of the cache — use
+    /// pipeline; with more shards it is only one slice of the cache — use
     /// [`cache_stats`](Self::cache_stats) for fleet-wide numbers.
     pub fn pipeline(&self) -> &Pipeline {
         self.shards.first_pipeline()
@@ -425,53 +385,43 @@ impl Server {
         reply
     }
 
-    /// Routes one compile to its shard and waits for the report —
-    /// inline on the calling thread for a single-shard no-deadline
-    /// server, through the shard's bounded queue otherwise.
+    /// Queues one parsed batch on the shard `key` routes to and waits
+    /// for its report, up to the compute deadline.
     fn execute(
         &self,
         key: u64,
         config: PipelineConfig,
-        work: ComputeWork,
+        batch: ParsedBatch,
     ) -> Result<CompilationReport, ComputeError> {
-        let shard = self.shards.route(key);
-        if self.shards.is_inline() {
-            let mut out = None;
-            shard.run_inline(|pipeline| out = Some(run_work(pipeline, &config, &work)));
-            return out
-                .expect("inline job ran on the calling thread")
-                .map_err(ComputeError::Driver);
-        }
+        let deadline = self.options.compute_deadline;
+        let deadline = deadline.map(|budget| (budget, Instant::now() + budget));
         let (tx, rx) = mpsc::sync_channel(1);
-        shard
+        self.shards
+            .route(key)
             .submit(Box::new(move |pipeline| {
                 // The receiver may have walked away on a compute
                 // deadline; the compile still warmed the shard cache.
-                let _ = tx.send(run_work(pipeline, &config, &work));
+                let _ = tx.send(pipeline.compile_batch_with(&config, batch));
             }))
             .map_err(ComputeError::Shed)?;
-        let result = match self.options.compute_deadline {
-            Some(deadline) => match rx.recv_timeout(deadline) {
-                Ok(result) => result,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    return Err(ComputeError::Deadline(deadline))
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    Err("shard worker unavailable".to_owned())
-                }
-            },
-            None => rx
-                .recv()
-                .unwrap_or_else(|_| Err("shard worker unavailable".to_owned())),
+        let Some((budget, due)) = deadline else {
+            return rx.recv().map_err(|_| ComputeError::Unavailable);
         };
-        result.map_err(ComputeError::Driver)
+        match rx.recv_timeout(budget) {
+            // The budget runs from the submit: a report that is already
+            // waiting when this thread gets to look (the worker can
+            // preempt its waker) may still have missed the deadline.
+            Ok(report) if Instant::now() <= due => Ok(report),
+            Ok(_) | Err(mpsc::RecvTimeoutError::Timeout) => Err(ComputeError::Deadline(budget)),
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(ComputeError::Unavailable),
+        }
     }
 
     /// Renders a routed compile's failure, counting sheds and deadline
     /// hits into the service metrics.
     fn compute_error_line(&self, id: &Option<Json>, error: &ComputeError) -> String {
         match error {
-            ComputeError::Driver(message) => protocol::error_line(id, message),
+            ComputeError::Unavailable => protocol::error_line(id, "shard worker unavailable"),
             ComputeError::Shed(shed) => {
                 self.metrics.note_shed_queue();
                 protocol::error_kind_line(
@@ -556,6 +506,12 @@ impl Server {
             }
             reply(protocol::report_line(&id, &report))
         };
+        let run = |key: u64, config: PipelineConfig, batch: ParsedBatch| match self
+            .execute(key, config, batch)
+        {
+            Ok(report) => report_reply(report),
+            Err(e) => reply(self.compute_error_line(&id, &e)),
+        };
         let base_config = self.shards.first_pipeline().config();
         let out = match request {
             Request::Compile { name, source } => {
@@ -563,10 +519,15 @@ impl Server {
                     Ok(config) => config,
                     Err(message) => return (op, reply(protocol::error_line(&id, &message))),
                 };
-                let key = shard::compile_route_key(&source, &config);
-                match self.execute(key, config, ComputeWork::Units(vec![(name, source)])) {
-                    Ok(report) => report_reply(report),
-                    Err(e) => reply(self.compute_error_line(&id, &e)),
+                // Parse and lower once, here: a parse error is answered
+                // without touching a shard, and the shard gets lowered
+                // loops, never source text.
+                match ParsedBatch::parse(&[(name, source)]) {
+                    Ok(batch) => {
+                        let key = shard::compile_route_key(batch.specs(), &config);
+                        run(key, config, batch)
+                    }
+                    Err(e) => reply(protocol::error_line(&id, &e.to_string())),
                 }
             }
             Request::Kernels { kernel } => {
@@ -575,8 +536,8 @@ impl Server {
                     Err(message) => return (op, reply(protocol::error_line(&id, &message))),
                 };
                 let key = shard::kernels_route_key(kernel.as_deref(), &config);
-                let work = match kernel {
-                    None => ComputeWork::KernelSuite,
+                let batch = match kernel {
+                    None => ParsedBatch::kernels(),
                     Some(name) => {
                         let suite = raco_kernels::suite();
                         let Some(kernel) = suite.iter().find(|k| k.name() == name) else {
@@ -592,13 +553,13 @@ impl Server {
                                 )),
                             );
                         };
-                        ComputeWork::Units(vec![(name.clone(), kernel.source().to_owned())])
+                        // Suite sources are constants that already parsed
+                        // when the suite was built.
+                        ParsedBatch::parse(&[(name, kernel.source().to_owned())])
+                            .expect("suite kernels parse")
                     }
                 };
-                match self.execute(key, config, work) {
-                    Ok(report) => report_reply(report),
-                    Err(e) => reply(self.compute_error_line(&id, &e)),
-                }
+                run(key, config, batch)
             }
             Request::Stats => {
                 // Cache counters first (their layout is load-bearing
@@ -1303,6 +1264,32 @@ mod tests {
             .and_then(|m| m.get("deadlines"))
             .expect("deadline counters");
         assert!(deadlines.get("compute").and_then(Json::as_u64).unwrap() >= 1);
+    }
+
+    #[test]
+    fn parse_errors_are_answered_before_routing() {
+        let config = PipelineConfig::new(AguSpec::new(4, 1).unwrap());
+        let options = ServeOptions {
+            shards: 2,
+            ..ServeOptions::default()
+        };
+        let sharded = Server::with_options(config.clone(), options);
+        let request = r#"{"id":4,"op":"compile","name":"broken","source":"for (i = 0; i++) {"}"#;
+        let error_line = |server: &Server| {
+            let line = server.handle_line(request).line;
+            line[..line.find(r#","elapsed_us""#).unwrap()].to_owned()
+        };
+        let expected = error_line(&Server::new(config));
+        assert!(
+            expected.contains(r#""ok":false,"error":"broken: "#),
+            "{expected}"
+        );
+        assert_eq!(error_line(&sharded), expected);
+        let mut shards = sharded.shards.shards().iter();
+        assert!(
+            shards.all(|s| s.executed.load(Ordering::Relaxed) == 0),
+            "no shard runs a request that never parsed"
+        );
     }
 
     #[test]

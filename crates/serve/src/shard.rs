@@ -4,20 +4,22 @@
 //! shards, each owning its own [`Pipeline`] (and therefore its own
 //! allocation cache) and a single worker thread. Requests are routed
 //! by a consistent hash of the *canonical* cache key — the same
-//! shift-normalized [`CanonicalPattern`] the allocation cache keys on
-//! — so every occurrence of a shape lands on the same shard: shard
-//! caches stay hot and mutually disjoint instead of each shard slowly
+//! shift-normalized [`CanonicalPattern`] the allocation cache keys on,
+//! computed from the loops the connection thread already lowered — so
+//! every occurrence of a shape lands on the same shard: shard caches
+//! stay hot and mutually disjoint instead of each shard slowly
 //! re-deriving the whole working set.
 //!
-//! Dispatch is a bounded queue per shard. A full queue is load
-//! shedding, not backpressure: the submitter gets [`ShedError`]
-//! immediately and answers the client with an `ok:false` shed
-//! response, keeping tail latency bounded when offered load exceeds
-//! capacity. Compute deadlines ride on the reply channel: the
-//! connection thread waits on [`std::sync::mpsc::Receiver::recv_timeout`]
-//! and walks away on expiry — the worker finishes the compile anyway
-//! (warming the shard cache for the retry) and its send lands in a
-//! dropped channel.
+//! Every request runs the same way, whatever the shard count: through
+//! its shard's bounded queue, with the connection thread waiting for
+//! the reply. A full queue is load shedding, not backpressure: the
+//! submitter gets [`ShedError`] immediately and answers the client with
+//! an `ok:false` shed response, keeping tail latency bounded when
+//! offered load exceeds capacity. Compute deadlines ride on the reply
+//! channel: the connection thread waits on
+//! [`std::sync::mpsc::Receiver::recv_timeout`] and walks away on expiry
+//! — the worker finishes the compile anyway (warming the shard cache
+//! for the retry) and its send lands in a dropped channel.
 //!
 //! [`CanonicalPattern`]: raco_ir::CanonicalPattern
 
@@ -29,7 +31,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use raco_driver::{CacheStats, Pipeline, PipelineConfig};
-use raco_ir::{dsl, CanonicalPattern};
+use raco_ir::{CanonicalPattern, LoopSpec};
 use raco_obs::Histogram;
 
 /// How long an idle worker sleeps between stop-flag checks.
@@ -58,8 +60,7 @@ pub(crate) struct Shard {
     /// The shard's own pipeline; its allocation cache is the shard's
     /// slice of the working set.
     pub(crate) pipeline: Pipeline,
-    /// Requests executed by this shard's worker (dispatch mode) or
-    /// inline on its pipeline (single-shard fast path).
+    /// Requests executed by this shard's worker.
     pub(crate) executed: AtomicU64,
     /// Per-shard compute latency (nanoseconds); the `metrics` op merges
     /// every shard's histogram into the aggregate via
@@ -111,16 +112,6 @@ impl Shard {
         Ok(())
     }
 
-    /// Runs one job inline on the calling thread (single-shard fast
-    /// path: no queue, no handoff, identical accounting).
-    pub(crate) fn run_inline(&self, job: impl FnOnce(&Pipeline)) {
-        // Counted *before* the job runs: a job's reply can release its
-        // client before the job closure fully unwinds, and a metrics
-        // read racing that window must still see the request.
-        self.executed.fetch_add(1, Ordering::Relaxed);
-        self.latency.time(|| job(&self.pipeline));
-    }
-
     fn worker_loop(self: &Arc<Self>) {
         loop {
             let job = {
@@ -141,7 +132,10 @@ impl Shard {
             };
             match job {
                 Some(job) => {
-                    // Same ordering as `run_inline`: count, then run.
+                    // Counted *before* the job runs: a job's reply can
+                    // release its client before the job closure fully
+                    // unwinds, and a metrics read racing that window
+                    // must still see the request.
                     self.executed.fetch_add(1, Ordering::Relaxed);
                     self.latency.time(|| job(&self.pipeline));
                 }
@@ -151,25 +145,18 @@ impl Shard {
     }
 }
 
-/// The full shard set plus its worker threads. In the single-shard,
-/// no-deadline configuration no workers are spawned and jobs run
-/// inline on the submitting thread (the pre-shard fast path — tests
-/// and loopback benches keep their zero-handoff latency).
+/// The full shard set plus its worker threads, one per shard.
 #[derive(Debug)]
 pub(crate) struct ShardSet {
     shards: Vec<Arc<Shard>>,
     workers: Vec<JoinHandle<()>>,
-    /// `true` when jobs run on the submitting thread instead of the
-    /// queue (implies `shards.len() == 1`).
-    inline: bool,
 }
 
 impl ShardSet {
     /// Builds `count` shards, each with its own pipeline cloned from
-    /// `config`. `inline` skips the worker threads (single shard only).
-    pub(crate) fn new(config: &PipelineConfig, count: usize, depth: usize, inline: bool) -> Self {
+    /// `config` and its own worker thread.
+    pub(crate) fn new(config: &PipelineConfig, count: usize, depth: usize) -> Self {
         assert!(count >= 1, "a server needs at least one shard");
-        assert!(!inline || count == 1, "inline execution implies one shard");
         let shards: Vec<Arc<Shard>> = (0..count)
             .map(|index| {
                 Arc::new(Shard::new(
@@ -179,40 +166,17 @@ impl ShardSet {
                 ))
             })
             .collect();
-        let workers = if inline {
-            Vec::new()
-        } else {
-            shards
-                .iter()
-                .map(|shard| {
-                    let shard = Arc::clone(shard);
-                    std::thread::Builder::new()
-                        .name(format!("raco-shard-{}", shard.index))
-                        .spawn(move || shard.worker_loop())
-                        .expect("spawn shard worker")
-                })
-                .collect()
-        };
-        ShardSet {
-            shards,
-            workers,
-            inline,
-        }
-    }
-
-    /// Wraps an existing pipeline as a one-shard inline set (the
-    /// [`Server::with_pipeline`](crate::Server::with_pipeline) path).
-    pub(crate) fn from_pipeline(pipeline: Pipeline, depth: usize) -> Self {
-        ShardSet {
-            shards: vec![Arc::new(Shard::new(0, pipeline, depth))],
-            workers: Vec::new(),
-            inline: true,
-        }
-    }
-
-    /// `true` when jobs run on the submitting thread.
-    pub(crate) fn is_inline(&self) -> bool {
-        self.inline
+        let workers = shards
+            .iter()
+            .map(|shard| {
+                let shard = Arc::clone(shard);
+                std::thread::Builder::new()
+                    .name(format!("raco-shard-{}", shard.index))
+                    .spawn(move || shard.worker_loop())
+                    .expect("spawn shard worker")
+            })
+            .collect();
+        ShardSet { shards, workers }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -302,22 +266,19 @@ fn machine_key(config: &PipelineConfig) -> u64 {
     hasher.finish()
 }
 
-/// The consistent-hash route key for a `compile` request: the FNV fold
-/// of every loop's canonical pattern fingerprints (the allocation
-/// cache's own key material) mixed with the machine key. Sources that
-/// fail to parse key on their raw text — the parse error itself is
-/// deterministic, so re-sends of a broken program still hit one shard.
-pub(crate) fn compile_route_key(source: &str, config: &PipelineConfig) -> u64 {
+/// The consistent-hash route key for a `compile` request's lowered
+/// loops: the FNV fold of every loop's canonical pattern fingerprints
+/// (the allocation cache's own key material), in source order, mixed
+/// with the machine key.
+pub(crate) fn compile_route_key<'a>(
+    specs: impl IntoIterator<Item = &'a LoopSpec>,
+    config: &PipelineConfig,
+) -> u64 {
     let mut key = machine_key(config);
-    match dsl::parse_program(source) {
-        Ok(specs) => {
-            for spec in &specs {
-                for pattern in spec.patterns() {
-                    key = mix(key, CanonicalPattern::of(&pattern).fingerprint());
-                }
-            }
+    for spec in specs {
+        for pattern in spec.patterns() {
+            key = mix(key, CanonicalPattern::of(&pattern).fingerprint());
         }
-        Err(_) => key = mix(key, fnv1a(source.as_bytes())),
     }
     key
 }
@@ -334,6 +295,7 @@ pub(crate) fn kernels_route_key(kernel: Option<&str>, config: &PipelineConfig) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raco_driver::ParsedBatch;
     use raco_ir::AguSpec;
     use std::sync::mpsc;
 
@@ -374,21 +336,28 @@ mod tests {
         }
     }
 
+    /// The route key of `source` as the server computes it: on the
+    /// driver's parse step output.
+    fn route_key(source: &str, config: &PipelineConfig) -> u64 {
+        let batch = ParsedBatch::parse(&[("u".to_owned(), source.to_owned())]).unwrap();
+        compile_route_key(batch.specs(), config)
+    }
+
     #[test]
     fn shifted_sources_share_a_route_key() {
         let config = config();
         // Same shape, shifted base offsets: identical canonical form.
-        let a = compile_route_key(
+        let a = route_key(
             "for (i = 0; i < 64; i++) { y[i] = x[i] + x[i+1]; }",
             &config,
         );
-        let b = compile_route_key(
+        let b = route_key(
             "for (i = 7; i < 71; i++) { y[i] = x[i] + x[i+1]; }",
             &config,
         );
         assert_eq!(a, b, "canonical keying ignores the shift");
         // A different shape keys differently.
-        let c = compile_route_key(
+        let c = route_key(
             "for (i = 0; i < 64; i++) { y[i] = x[i] + x[i+5]; }",
             &config,
         );
@@ -397,21 +366,13 @@ mod tests {
         let other = PipelineConfig::new(AguSpec::new(2, 1).unwrap());
         assert_ne!(
             a,
-            compile_route_key("for (i = 0; i < 64; i++) { y[i] = x[i] + x[i+1]; }", &other)
+            route_key("for (i = 0; i < 64; i++) { y[i] = x[i] + x[i+1]; }", &other)
         );
     }
 
     #[test]
-    fn unparsable_sources_route_deterministically() {
-        let config = config();
-        let a = compile_route_key("for (i = 0; i++) {", &config);
-        let b = compile_route_key("for (i = 0; i++) {", &config);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn submit_sheds_when_the_queue_is_full() {
-        let set = ShardSet::new(&config(), 1, 1, false);
+        let set = ShardSet::new(&config(), 1, 1);
         let shard = &set.shards()[0];
         // Park the worker on a job that waits for permission to finish,
         // then fill the queue behind it.
@@ -436,7 +397,7 @@ mod tests {
 
     #[test]
     fn workers_execute_jobs_and_count_them() {
-        let set = ShardSet::new(&config(), 2, 16, false);
+        let set = ShardSet::new(&config(), 2, 16);
         let (tx, rx) = mpsc::channel();
         for i in 0..8u64 {
             let tx = tx.clone();

@@ -38,7 +38,7 @@ fn suite_verifies_on_plain_machines() {
                 continue;
             }
             let agu = AguSpec::new(k, 1).unwrap();
-            verify_kernel(&kernel, agu, 16);
+            verify_kernel(kernel, agu, 16);
         }
     }
 }
@@ -50,7 +50,7 @@ fn suite_verifies_with_modify_registers() {
             continue;
         }
         let agu = AguSpec::new(4, 1).unwrap().with_modify_registers(2);
-        verify_kernel(&kernel, agu, 16);
+        verify_kernel(kernel, agu, 16);
     }
 }
 
@@ -63,7 +63,7 @@ fn more_registers_never_cost_more_on_kernels() {
             if arrays > k {
                 continue;
             }
-            let cost = verify_kernel(&kernel, AguSpec::new(k, 1).unwrap(), 8);
+            let cost = verify_kernel(kernel, AguSpec::new(k, 1).unwrap(), 8);
             assert!(
                 cost <= last,
                 "{}: K = {k} costs {cost} > previous {last}",
@@ -110,7 +110,7 @@ fn presets_handle_the_suite() {
             if kernel.spec().patterns().len() > agu.address_registers() {
                 continue;
             }
-            verify_kernel(&kernel, agu, 8);
+            verify_kernel(kernel, agu, 8);
         }
     }
 }
