@@ -7,16 +7,19 @@
 //! suite and then mutation-test the declarative one: a deliberately
 //! corrupted listing must be caught, the offending program shrunk, and
 //! a minimal `.dsp` reproducer written — the same path `raco fuzz`
-//! takes on a real failure.
+//! takes on a real failure. Finally, a fixed list of listing mutations
+//! over every kernel on every built-in machine pins the checker's exact
+//! violation messages and their order
+//! (`tests/fixtures/check_violations.txt`).
 
 use raco::agu::codegen::CodeGenerator;
-use raco::agu::isa::{AddressInstr, AddressProgram, Update};
+use raco::agu::isa::{AddressInstr, AddressProgram, CarryBlock, MrId, RegId, Update};
 use raco::agu::sim;
 use raco::check;
 use raco::core::Optimizer;
 use raco::fuzz::{gen_unit, shrink_unit, write_failure, GenUnit};
 use raco::ir::dsl;
-use raco::ir::{AguSpec, LoopSpec, MemoryLayout, Trace};
+use raco::ir::{AguSpec, CostTable, LoopSpec, MachineDescription, MemoryLayout, Trace};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -231,4 +234,222 @@ fn checker_names_the_violated_invariant_for_a_corrupted_kernel() {
         );
     }
     assert!(corrupted_any, "no kernel had an auto-update to corrupt");
+}
+
+// ---------------------------------------------------------------------
+// Pinned checker output: every violation string, in report order.
+// ---------------------------------------------------------------------
+
+/// A listing mutation: the corrupted program plus the cycle count the
+/// caller claims, or `None` when the program has nothing to corrupt.
+type Mutation = fn(&AddressProgram) -> Option<(AddressProgram, Option<u64>)>;
+
+/// Reassembles `program` from new parts, keeping its carries and cost
+/// table so only the intended mutation differs.
+fn reassemble(
+    program: &AddressProgram,
+    prologue: Vec<AddressInstr>,
+    body: Vec<AddressInstr>,
+    modify_values: Vec<i64>,
+) -> AddressProgram {
+    AddressProgram::new(prologue, body, program.address_registers(), modify_values)
+        .with_carries(program.carries().to_vec())
+        .with_cost_table(program.cost_table())
+}
+
+fn with_prologue(program: &AddressProgram, prologue: Vec<AddressInstr>) -> AddressProgram {
+    reassemble(
+        program,
+        prologue,
+        program.body().to_vec(),
+        program.modify_values().to_vec(),
+    )
+}
+
+fn with_body(program: &AddressProgram, body: Vec<AddressInstr>) -> AddressProgram {
+    reassemble(
+        program,
+        program.prologue().to_vec(),
+        body,
+        program.modify_values().to_vec(),
+    )
+}
+
+fn use_rows(program: &AddressProgram) -> Vec<usize> {
+    (0..program.body().len())
+        .filter(|&i| matches!(program.body()[i], AddressInstr::Use { .. }))
+        .collect()
+}
+
+fn first_prologue(program: &AddressProgram, lda: bool) -> Option<usize> {
+    program.prologue().iter().position(|instr| match instr {
+        AddressInstr::Lda { .. } => lda,
+        AddressInstr::Ldm { .. } => !lda,
+        _ => false,
+    })
+}
+
+fn duplicate_prologue_row(program: &AddressProgram, row: usize) -> AddressProgram {
+    let mut prologue = program.prologue().to_vec();
+    prologue.insert(row + 1, prologue[row]);
+    with_prologue(program, prologue)
+}
+
+const MUTATIONS: &[(&str, Mutation)] = &[
+    ("bump-first-auto", |p| {
+        corrupt_first_auto_update(p).map(|c| (c.with_cost_table(p.cost_table()), None))
+    }),
+    ("drop-prologue-lda", |p| {
+        let mut prologue = p.prologue().to_vec();
+        prologue.remove(first_prologue(p, true)?);
+        Some((with_prologue(p, prologue), None))
+    }),
+    ("double-prologue-lda", |p| {
+        Some((duplicate_prologue_row(p, first_prologue(p, true)?), None))
+    }),
+    ("double-prologue-ldm", |p| {
+        Some((duplicate_prologue_row(p, first_prologue(p, false)?), None))
+    }),
+    ("swap-first-uses", |p| {
+        let uses = use_rows(p);
+        let (&a, &b) = (uses.first()?, uses.get(1)?);
+        let mut body = p.body().to_vec();
+        body.swap(a, b);
+        Some((with_body(p, body), None))
+    }),
+    ("drop-last-use", |p| {
+        let mut body = p.body().to_vec();
+        body.remove(*use_rows(p).last()?);
+        Some((with_body(p, body), None))
+    }),
+    ("bump-modify-value", |p| {
+        let mut values = p.modify_values().to_vec();
+        *values.first_mut()? += 1;
+        let program = reassemble(p, p.prologue().to_vec(), p.body().to_vec(), values);
+        Some((program, None))
+    }),
+    ("ar-past-count", |p| {
+        let mut body = p.body().to_vec();
+        let row = *use_rows(p).first()?;
+        if let AddressInstr::Use { reg, .. } = &mut body[row] {
+            reg.0 = u16::try_from(p.address_registers()).ok()?;
+        }
+        Some((with_body(p, body), None))
+    }),
+    ("mr-past-count", |p| {
+        let mut prologue = p.prologue().to_vec();
+        prologue.push(AddressInstr::Ldm {
+            mr: MrId(u16::try_from(p.modify_values().len()).ok()?),
+            value: 1,
+        });
+        Some((with_prologue(p, prologue), None))
+    }),
+    ("adda-in-prologue", |p| {
+        let mut prologue = p.prologue().to_vec();
+        prologue.push(AddressInstr::Adda {
+            reg: RegId(0),
+            delta: 1,
+        });
+        Some((with_prologue(p, prologue), None))
+    }),
+    ("lda-in-body", |p| {
+        let mut body = p.body().to_vec();
+        body.push(p.prologue()[first_prologue(p, true)?]);
+        Some((with_body(p, body), None))
+    }),
+    ("carry-off-by-one", |p| {
+        let mut carries = p.carries().to_vec();
+        let delta =
+            carries
+                .iter_mut()
+                .flat_map(|b| &mut b.instrs)
+                .find_map(|instr| match instr {
+                    AddressInstr::Adda { delta, .. } => Some(delta),
+                    _ => None,
+                })?;
+        *delta += 1;
+        Some((p.clone().with_carries(carries), None))
+    }),
+    ("carry-at-non-period", |p| {
+        let mut carries = p.carries().to_vec();
+        carries.first_mut()?.period += 1;
+        Some((p.clone().with_carries(carries), None))
+    }),
+    ("extra-carry-block", |p| {
+        let mut carries = p.carries().to_vec();
+        carries.push(CarryBlock {
+            period: 1,
+            instrs: vec![AddressInstr::Adda {
+                reg: RegId(0),
+                delta: 1,
+            }],
+        });
+        Some((p.clone().with_carries(carries), None))
+    }),
+    ("expected-cycles-off-by-one", |p| {
+        Some((p.clone(), Some(p.cycles_per_iteration() + 1)))
+    }),
+    ("foreign-cost-table", |p| {
+        let costs = p.cost_table();
+        let foreign = CostTable::new(costs.lda() + 1, costs.ldm() + 1, costs.adda() + 1).ok()?;
+        Some((p.clone().with_cost_table(foreign), None))
+    }),
+];
+
+/// Runs every mutation over every kernel on every built-in machine and
+/// renders one `machine/kernel/mutation: invariant: message` line per
+/// violation, in report order.
+fn render_mutation_violations() -> String {
+    let mut out = String::new();
+    for &machine in MachineDescription::builtin_names() {
+        let agu = *MachineDescription::builtin(machine).unwrap().spec();
+        for kernel in raco::kernels::suite() {
+            let spec = kernel.spec();
+            let Some((layout, program)) = compile(spec, &agu) else {
+                continue;
+            };
+            for (mutation, apply) in MUTATIONS {
+                let Some((mutated, expected_cycles)) = apply(&program) else {
+                    continue;
+                };
+                let report = check::check_program(spec, &layout, &agu, &mutated, expected_cycles);
+                for violation in report.violations() {
+                    out.push_str(&format!(
+                        "{machine}/{}/{mutation}: {violation}\n",
+                        kernel.name()
+                    ));
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn mutated_listings_reproduce_the_pinned_violations() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/check_violations.txt");
+    let expected =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let actual = render_mutation_violations();
+    if let Some((line, (want, got))) = expected
+        .lines()
+        .zip(actual.lines())
+        .enumerate()
+        .find(|(_, (want, got))| want != got)
+    {
+        panic!("fixture line {}:\n  want: {want}\n  got:  {got}", line + 1);
+    }
+    assert_eq!(
+        expected.lines().count(),
+        actual.lines().count(),
+        "violation count drifted from the fixture"
+    );
+    for invariant in check::INVARIANTS {
+        assert!(
+            expected.contains(&format!(": {}: ", invariant.name)),
+            "fixture never trips `{}`",
+            invariant.name
+        );
+    }
 }
