@@ -11,6 +11,17 @@
 //! reportable bug class (an oracle disagreement), because the two
 //! derivations share no code.
 //!
+//! [`check`] reads the rows in one walk — prologue, body, then each
+//! carry block — in the style of a trace's row constraints. Rules that
+//! concern one row (register indices in range, loads only in the
+//! prologue, free updates in range, no reloads in the body, only ADDAs
+//! in carry blocks) are applied as the row passes. Everything the
+//! cross-row invariants need is collected on the way: the first LDA /
+//! LDM per register, the first post-prologue reference per AR, one
+//! delta ledger per AR, the served positions, the body's cycles, the
+//! words, and the carry sum per (AR, period). Each invariant then
+//! closes with a short check over those facts.
+//!
 //! The invariant inventory lives in [`INVARIANTS`]; each entry carries
 //! a stable kebab-case `name` (used in violation reports, docs, and
 //! fuzz repros) and a `why` sentence explaining what a violation would
@@ -117,100 +128,102 @@ impl fmt::Display for CheckReport {
 }
 
 /// A named declarative invariant over listing rows.
+#[derive(Debug)]
 pub struct Invariant {
     /// Stable kebab-case name, referenced by violations and docs.
     pub name: &'static str,
     /// Why the invariant must hold on a correct listing.
     pub why: &'static str,
-    check: fn(&CheckContext<'_>, &mut Vec<Violation>),
 }
 
-impl fmt::Debug for Invariant {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Invariant")
-            .field("name", &self.name)
-            .finish()
-    }
-}
+const AR_RANGE: &str = "ar-in-machine-range";
+const MR_RANGE: &str = "mr-in-machine-range";
+const PROLOGUE_LOADS: &str = "prologue-loads-only";
+const INITIALIZED: &str = "registers-initialized";
+const USE_SEQUENCE: &str = "use-sequence";
+const FREE_UPDATES: &str = "free-updates-in-range";
+const DELTA_COVERAGE: &str = "delta-coverage";
+const STEADY_STATE: &str = "steady-state-advance";
+const CARRY_BOUNDARIES: &str = "carry-boundaries";
+const CYCLE_ACCOUNTING: &str = "cycle-accounting";
 
-/// The full invariant inventory, in the order they run.
+/// The full invariant inventory, in the order [`check`] reports them.
 pub const INVARIANTS: &[Invariant] = &[
     Invariant {
-        name: "ar-in-machine-range",
+        name: AR_RANGE,
         why: "every address-register index must fit both the program's declared register \
               count and the machine's K; an out-of-range AR encodes to a register the \
               hardware does not have",
-        check: ar_in_machine_range,
     },
     Invariant {
-        name: "mr-in-machine-range",
+        name: MR_RANGE,
         why: "every modify-register index must fit the program's modify-value table and \
               the machine's modify-register file; an out-of-range M reads undefined state",
-        check: mr_in_machine_range,
     },
     Invariant {
-        name: "prologue-loads-only",
+        name: PROLOGUE_LOADS,
         why: "the prologue runs once before the loop and may only establish state (LDA/LDM, \
               each destination exactly once); an ADDA or USE there would execute outside \
               the steady state the body's delta ledger assumes",
-        check: prologue_loads_only,
     },
     Invariant {
-        name: "registers-initialized",
+        name: INITIALIZED,
         why: "each AR the body serves from must be LDA-ed to its first access's address and \
               each M applied as a post-modify must be LDM-ed to its declared value; an \
               uninitialized register serves whatever the hardware woke up with",
-        check: registers_initialized,
     },
     Invariant {
-        name: "use-sequence",
+        name: USE_SEQUENCE,
         why: "the body must serve access positions 0..N exactly once each, in order — the \
               data-path instructions consume their addresses in program order, so any \
               permutation or omission feeds an instruction the wrong operand",
-        check: use_sequence,
     },
     Invariant {
-        name: "free-updates-in-range",
+        name: FREE_UPDATES,
         why: "an auto post-modify is only free when |delta| <= M; a larger immediate would \
               not encode and must be an explicit ADDA instead",
-        check: free_updates_in_range,
     },
     Invariant {
-        name: "delta-coverage",
+        name: DELTA_COVERAGE,
         why: "between consecutive serves of one AR, the applied updates (auto post-modify, \
               modify-register content, explicit ADDAs) must sum exactly to the address \
               distance between the served accesses — including the wrap back to the next \
               iteration; any gap leaves the register pointing at the wrong word",
-        check: delta_coverage,
     },
     Invariant {
-        name: "steady-state-advance",
+        name: STEADY_STATE,
         why: "over one body pass each serving AR must advance by exactly the effective \
               stride of its array, or addresses drift further off every iteration",
-        check: steady_state_advance,
     },
     Invariant {
-        name: "carry-boundaries",
+        name: CARRY_BOUNDARIES,
         why: "carry blocks may appear only at the flattened nest's period boundaries, hold \
               only ADDAs, and per register must sum to the array's carry at that level — \
               carries anywhere else fire mid-sweep and corrupt the inner loop",
-        check: carry_boundaries,
     },
     Invariant {
-        name: "cycle-accounting",
+        name: CYCLE_ACCOUNTING,
         why: "the per-iteration addressing cost must be re-derivable from the rows (one \
               cycle per body LDA/LDM/ADDA, zero per USE) and equal the cost the model \
               claims; unaccounted cycles mean the optimizer is minimizing the wrong number",
-        check: cycle_accounting,
     },
 ];
 
-/// Runs every invariant in [`INVARIANTS`] over `ctx`.
+/// Checks every invariant in [`INVARIANTS`] over `ctx`: one walk over
+/// the rows, then the closing checks over what the walk collected.
 pub fn check(ctx: &CheckContext<'_>) -> CheckReport {
     let mut violations = Vec::new();
-    for invariant in INVARIANTS {
-        (invariant.check)(ctx, &mut violations);
-    }
+    let facts = Facts::walk(ctx, &mut violations);
+    registers_initialized(ctx, &facts, &mut violations);
+    use_sequence(ctx, &facts, &mut violations);
+    delta_coverage(ctx, &facts, &mut violations);
+    steady_state_advance(&facts, &mut violations);
+    carry_boundaries(ctx, &facts, &mut violations);
+    cycle_accounting(ctx, &facts, &mut violations);
+    // Report in registry order. The sort is stable, so each invariant
+    // keeps its own order: walk findings in row order, then closing
+    // findings.
+    violations.sort_by_key(|v| INVARIANTS.iter().position(|i| i.name == v.invariant));
     CheckReport {
         invariants_checked: INVARIANTS.len(),
         violations,
@@ -236,7 +249,7 @@ pub fn check_program(
 }
 
 // ---------------------------------------------------------------------
-// Shared row derivations
+// The row walk
 // ---------------------------------------------------------------------
 
 /// Where a row sits inside the program (for violation messages).
@@ -257,43 +270,25 @@ impl fmt::Display for RowLoc {
     }
 }
 
-/// All rows of the program with their locations.
-fn rows(program: &AddressProgram) -> impl Iterator<Item = (RowLoc, &AddressInstr)> {
-    let prologue = program
-        .prologue()
-        .iter()
-        .enumerate()
-        .map(|(i, instr)| (RowLoc::Prologue(i), instr));
-    let body = program
-        .body()
-        .iter()
-        .enumerate()
-        .map(|(i, instr)| (RowLoc::Body(i), instr));
-    let carries = program.carries().iter().enumerate().flat_map(|(b, block)| {
-        block
-            .instrs
-            .iter()
-            .enumerate()
-            .map(move |(i, instr)| (RowLoc::Carry(b, i), instr))
-    });
-    prologue.chain(body).chain(carries)
+/// The one value every served access of a register agrees on.
+#[derive(Debug, Default, Clone, Copy)]
+enum Shared<T> {
+    /// No served access yet.
+    #[default]
+    Empty,
+    One(T),
+    /// Two served accesses disagree.
+    Mixed,
 }
 
-/// Iteration-0, carry-free address of access `position`:
-/// `base + coefficient * start + offset`.
-fn flat_address(ctx: &CheckContext<'_>, position: usize) -> Option<i64> {
-    let access = ctx.spec.accesses().get(position)?;
-    let base = ctx.layout.base(access.array)?;
-    let info = ctx.spec.array_info(access.array)?;
-    Some(base + info.coefficient() * ctx.spec.start() + access.offset)
-}
-
-/// Per-iteration address advance of access `position`:
-/// `coefficient * loop stride`.
-fn flat_stride(ctx: &CheckContext<'_>, position: usize) -> Option<i64> {
-    let access = ctx.spec.accesses().get(position)?;
-    let info = ctx.spec.array_info(access.array)?;
-    Some(info.coefficient() * ctx.spec.stride())
+impl<T: Copy + PartialEq> Shared<T> {
+    fn add(&mut self, value: T) {
+        *self = match *self {
+            Shared::Empty => Shared::One(value),
+            Shared::One(seen) if seen == value => Shared::One(seen),
+            _ => Shared::Mixed,
+        };
+    }
 }
 
 /// The delta ledger of one address register over one body pass,
@@ -312,93 +307,247 @@ struct Ledger {
     /// Set when the body reloads the register absolutely (LDA), which
     /// makes a steady-state ledger underivable.
     poisoned: bool,
+    /// The array of the served accesses (positions outside the loop's
+    /// access list are skipped).
+    array: Shared<ArrayId>,
+    /// The per-iteration address advance of the served accesses:
+    /// `coefficient * loop stride`.
+    stride: Shared<i64>,
 }
 
-/// Walks the body once and returns one [`Ledger`] per declared AR.
-/// Out-of-range register ids (reported by `ar-in-machine-range`) are
-/// skipped.
-fn body_ledgers(ctx: &CheckContext<'_>) -> Vec<Ledger> {
-    let declared = ctx.program.address_registers();
-    let modify_values = ctx.program.modify_values();
-    let mut ledgers = vec![Ledger::default(); declared];
-    for instr in ctx.program.body() {
-        match instr {
-            AddressInstr::Adda { reg, delta } => {
-                if let Some(ledger) = ledgers.get_mut(usize::from(reg.0)) {
-                    ledger.pending += delta;
-                    ledger.total += delta;
-                }
+impl Ledger {
+    fn serve(&mut self, spec: &LoopSpec, position: usize, applied: i64) {
+        self.serves.push((position, self.pending));
+        self.pending = applied;
+        self.total += applied;
+        if let Some(access) = spec.accesses().get(position) {
+            self.array.add(access.array);
+            if let Some(info) = spec.array_info(access.array) {
+                self.stride.add(info.coefficient() * spec.stride());
             }
-            AddressInstr::Use {
-                reg,
-                position,
-                update,
-            } => {
-                let applied = match update {
-                    Update::None => 0,
-                    Update::Auto { delta } => *delta,
-                    Update::Modify { mr } => modify_values
-                        .get(usize::from(mr.0))
-                        .copied()
-                        .unwrap_or_default(),
-                };
-                if let Some(ledger) = ledgers.get_mut(usize::from(reg.0)) {
-                    ledger.serves.push((*position, ledger.pending));
-                    ledger.pending = applied;
-                    ledger.total += applied;
-                }
-            }
-            AddressInstr::Lda { reg, .. } => {
-                if let Some(ledger) = ledgers.get_mut(usize::from(reg.0)) {
-                    ledger.poisoned = true;
-                }
-            }
-            AddressInstr::Ldm { .. } => {}
         }
     }
-    ledgers
 }
 
-/// The single array a register's serves all belong to, or `None` when
-/// the chain is empty or spans arrays (the latter is reported by
-/// `delta-coverage`).
-fn chain_array(ctx: &CheckContext<'_>, ledger: &Ledger) -> Option<ArrayId> {
-    let accesses = ctx.spec.accesses();
-    let mut arrays = ledger
-        .serves
-        .iter()
-        .filter_map(|&(position, _)| accesses.get(position).map(|a| a.array));
-    let first = arrays.next()?;
-    arrays.all(|a| a == first).then_some(first)
+/// Everything the closing checks consult, gathered in one walk over
+/// the rows.
+#[derive(Debug, Default)]
+struct Facts {
+    /// Per AR loaded in the prologue: the row of its latest LDA and the
+    /// address of its first.
+    lda: BTreeMap<u16, (usize, i64)>,
+    /// Per modify register loaded in the prologue: the row of its
+    /// latest LDM and the value of its first.
+    ldm: BTreeMap<u16, (usize, i64)>,
+    /// The first row after the prologue that references each AR.
+    referenced: BTreeMap<u16, RowLoc>,
+    /// One ledger per declared AR; out-of-range register ids (reported
+    /// by `ar-in-machine-range`) have none.
+    ledgers: Vec<Ledger>,
+    /// Number of USEs in the body.
+    serves: usize,
+    /// The first body USE out of order: `(serve index, position)`.
+    misplaced: Option<(usize, usize)>,
+    /// The flattened nest's periods, `None` for a flat loop.
+    periods: Option<Vec<u64>>,
+    /// ADDA sum per (AR, period) across the carry blocks.
+    carry_sums: BTreeMap<(usize, u64), i64>,
+    /// Body cycles, priced by the machine's cost table.
+    body_cycles: u64,
+    /// Instruction words of every row.
+    words: u64,
 }
 
-fn push(out: &mut Vec<Violation>, invariant: &'static str, message: String) {
-    out.push(Violation { invariant, message });
-}
-
-// ---------------------------------------------------------------------
-// Invariants
-// ---------------------------------------------------------------------
-
-fn ar_in_machine_range(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
-    const NAME: &str = "ar-in-machine-range";
-    let declared = ctx.program.address_registers();
-    let machine = ctx.agu.address_registers();
-    if declared > machine {
-        push(
-            out,
-            NAME,
-            format!("program declares {declared} address registers but the machine has {machine}"),
-        );
+impl Facts {
+    /// The one walk over the program's rows: the prologue, the body,
+    /// then each carry block. Row-local violations go to `out` as the
+    /// rows pass.
+    fn walk(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) -> Facts {
+        let program = ctx.program;
+        let costs = ctx.agu.cost_table();
+        let mut facts = Facts {
+            ledgers: vec![Ledger::default(); program.address_registers()],
+            periods: ctx.spec.nest().map(|nest| nest.periods()),
+            ..Facts::default()
+        };
+        let (declared, machine) = (program.address_registers(), ctx.agu.address_registers());
+        if declared > machine {
+            push(
+                out,
+                AR_RANGE,
+                format!(
+                    "program declares {declared} address registers but the machine has {machine}"
+                ),
+            );
+        }
+        let (declared, machine) = (program.modify_values().len(), ctx.agu.modify_registers());
+        if declared > machine {
+            push(
+                out,
+                MR_RANGE,
+                format!("program declares {declared} modify values but the machine has {machine} modify registers"),
+            );
+        }
+        for (i, instr) in program.prologue().iter().enumerate() {
+            facts.any_row(ctx, out, RowLoc::Prologue(i), instr);
+            let repeat = match *instr {
+                AddressInstr::Lda { reg, address } => {
+                    load(&mut facts.lda, reg.0, i, address).map(|first| (reg.to_string(), first))
+                }
+                AddressInstr::Ldm { mr, value } => {
+                    load(&mut facts.ldm, mr.0, i, value).map(|first| (mr.to_string(), first))
+                }
+                other => {
+                    push(
+                        out,
+                        PROLOGUE_LOADS,
+                        format!("prologue[{i}] is `{other}`, not a load"),
+                    );
+                    None
+                }
+            };
+            if let Some((register, first)) = repeat {
+                push(
+                    out,
+                    PROLOGUE_LOADS,
+                    format!("{register} loaded twice in the prologue (rows {first} and {i})"),
+                );
+            }
+        }
+        for (i, instr) in program.body().iter().enumerate() {
+            facts.any_row(ctx, out, RowLoc::Body(i), instr);
+            facts.body_cycles += instr.cycles_with(&costs);
+            match *instr {
+                AddressInstr::Lda { reg, .. } => {
+                    push(
+                        out,
+                        DELTA_COVERAGE,
+                        format!("body[{i}] reloads {reg} absolutely; steady-state deltas are underivable"),
+                    );
+                    if let Some(ledger) = facts.ledgers.get_mut(usize::from(reg.0)) {
+                        ledger.poisoned = true;
+                    }
+                }
+                AddressInstr::Ldm { mr, .. } => push(
+                    out,
+                    DELTA_COVERAGE,
+                    format!("body[{i}] reloads {mr}; modify registers must be loop-invariant"),
+                ),
+                AddressInstr::Adda { reg, delta } => {
+                    if let Some(ledger) = facts.ledgers.get_mut(usize::from(reg.0)) {
+                        ledger.pending += delta;
+                        ledger.total += delta;
+                    }
+                }
+                AddressInstr::Use {
+                    reg,
+                    position,
+                    update,
+                } => {
+                    if position != facts.serves && facts.misplaced.is_none() {
+                        facts.misplaced = Some((facts.serves, position));
+                    }
+                    facts.serves += 1;
+                    let applied = match update {
+                        Update::None => 0,
+                        Update::Auto { delta } => delta,
+                        Update::Modify { mr } => program
+                            .modify_values()
+                            .get(usize::from(mr.0))
+                            .copied()
+                            .unwrap_or_default(),
+                    };
+                    if let Some(ledger) = facts.ledgers.get_mut(usize::from(reg.0)) {
+                        ledger.serve(ctx.spec, position, applied);
+                    }
+                }
+            }
+        }
+        for (b, block) in program.carries().iter().enumerate() {
+            if let Some(periods) = &facts.periods {
+                if !periods.contains(&block.period) {
+                    push(
+                        out,
+                        CARRY_BOUNDARIES,
+                        format!(
+                            "carry block {b} fires every {} iterations, which is not a nest \
+                             period (periods: {periods:?})",
+                            block.period
+                        ),
+                    );
+                }
+            }
+            for (i, instr) in block.instrs.iter().enumerate() {
+                facts.any_row(ctx, out, RowLoc::Carry(b, i), instr);
+                match *instr {
+                    AddressInstr::Adda { reg, delta } => {
+                        *facts
+                            .carry_sums
+                            .entry((usize::from(reg.0), block.period))
+                            .or_default() += delta;
+                    }
+                    // A flat loop's carry blocks are reported whole by
+                    // the closing check.
+                    other if facts.periods.is_some() => push(
+                        out,
+                        CARRY_BOUNDARIES,
+                        format!("carry[{b}][{i}] is `{other}`, not an ADDA"),
+                    ),
+                    _ => {}
+                }
+            }
+        }
+        facts
     }
-    for (loc, instr) in rows(ctx.program) {
+
+    /// The rules for a row wherever it sits: register indices and free
+    /// updates in range, words, and the first post-prologue reference
+    /// per AR.
+    fn any_row(
+        &mut self,
+        ctx: &CheckContext<'_>,
+        out: &mut Vec<Violation>,
+        loc: RowLoc,
+        instr: &AddressInstr,
+    ) {
+        self.words += instr.words();
         if let Some(reg) = instr.register() {
+            let declared = ctx.program.address_registers();
             if usize::from(reg.0) >= declared {
                 push(
                     out,
-                    NAME,
+                    AR_RANGE,
                     format!(
                         "{reg} referenced at {loc} but the program declares only {declared} ARs"
+                    ),
+                );
+            }
+            if !matches!(loc, RowLoc::Prologue(_)) {
+                self.referenced.entry(reg.0).or_insert(loc);
+            }
+        }
+        if let Some(mr) = instr.modify_register() {
+            let declared = ctx.program.modify_values().len();
+            if usize::from(mr.0) >= declared {
+                push(
+                    out,
+                    MR_RANGE,
+                    format!("{mr} referenced at {loc} but the program declares only {declared} modify values"),
+                );
+            }
+        }
+        if let AddressInstr::Use {
+            update: Update::Auto { delta },
+            ..
+        } = *instr
+        {
+            if !ctx.agu.is_free_delta(delta) {
+                push(
+                    out,
+                    FREE_UPDATES,
+                    format!(
+                        "{loc} auto post-modify {delta:+} exceeds the machine's modify range M={}",
+                        ctx.agu.update_range()
                     ),
                 );
             }
@@ -406,89 +555,45 @@ fn ar_in_machine_range(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
     }
 }
 
-fn mr_in_machine_range(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
-    const NAME: &str = "mr-in-machine-range";
-    let declared = ctx.program.modify_values().len();
-    let machine = ctx.agu.modify_registers();
-    if declared > machine {
-        push(
-            out,
-            NAME,
-            format!("program declares {declared} modify values but the machine has {machine} modify registers"),
-        );
-    }
-    for (loc, instr) in rows(ctx.program) {
-        if let Some(mr) = instr.modify_register() {
-            if usize::from(mr.0) >= declared {
-                push(
-                    out,
-                    NAME,
-                    format!("{mr} referenced at {loc} but the program declares only {declared} modify values"),
-                );
-            }
-        }
-    }
+/// Records a prologue load of register `id` at `row`; on a repeat,
+/// returns the row of the previous load.
+fn load(loads: &mut BTreeMap<u16, (usize, i64)>, id: u16, row: usize, value: i64) -> Option<usize> {
+    let seen = &mut loads.entry(id).or_insert((row, value)).0;
+    (*seen != row).then(|| std::mem::replace(seen, row))
 }
 
-fn prologue_loads_only(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
-    const NAME: &str = "prologue-loads-only";
-    let mut lda_seen: BTreeMap<u16, usize> = BTreeMap::new();
-    let mut ldm_seen: BTreeMap<u16, usize> = BTreeMap::new();
-    for (i, instr) in ctx.program.prologue().iter().enumerate() {
-        match instr {
-            AddressInstr::Lda { reg, .. } => {
-                if let Some(first) = lda_seen.insert(reg.0, i) {
-                    push(
-                        out,
-                        NAME,
-                        format!("{reg} loaded twice in the prologue (rows {first} and {i})"),
-                    );
-                }
-            }
-            AddressInstr::Ldm { mr, .. } => {
-                if let Some(first) = ldm_seen.insert(mr.0, i) {
-                    push(
-                        out,
-                        NAME,
-                        format!("{mr} loaded twice in the prologue (rows {first} and {i})"),
-                    );
-                }
-            }
-            other => push(out, NAME, format!("prologue[{i}] is `{other}`, not a load")),
-        }
-    }
+/// Iteration-0, carry-free address of access `position`:
+/// `base + coefficient * start + offset`.
+fn flat_address(ctx: &CheckContext<'_>, position: usize) -> Option<i64> {
+    let access = ctx.spec.accesses().get(position)?;
+    let base = ctx.layout.base(access.array)?;
+    let info = ctx.spec.array_info(access.array)?;
+    Some(base + info.coefficient() * ctx.spec.start() + access.offset)
 }
 
-fn registers_initialized(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
-    const NAME: &str = "registers-initialized";
-    let mut lda: BTreeMap<u16, i64> = BTreeMap::new();
-    let mut ldm: BTreeMap<u16, i64> = BTreeMap::new();
-    for instr in ctx.program.prologue() {
-        match instr {
-            AddressInstr::Lda { reg, address } => {
-                lda.entry(reg.0).or_insert(*address);
-            }
-            AddressInstr::Ldm { mr, value } => {
-                ldm.entry(mr.0).or_insert(*value);
-            }
-            _ => {}
-        }
-    }
+fn push(out: &mut Vec<Violation>, invariant: &'static str, message: String) {
+    out.push(Violation { invariant, message });
+}
 
+// ---------------------------------------------------------------------
+// Closing checks over the collected facts
+// ---------------------------------------------------------------------
+
+fn registers_initialized(ctx: &CheckContext<'_>, facts: &Facts, out: &mut Vec<Violation>) {
     // Every declared modify value must be LDM-ed to exactly that value:
     // the delta ledger (and the hardware) read the register, not the
     // table, so table and load must agree.
     for (i, &value) in ctx.program.modify_values().iter().enumerate() {
         let mr = u16::try_from(i).unwrap_or(u16::MAX);
-        match ldm.get(&mr) {
+        match facts.ldm.get(&mr) {
             None => push(
                 out,
-                NAME,
+                INITIALIZED,
                 format!("M{i} declares value {value} but the prologue never loads it"),
             ),
-            Some(&loaded) if loaded != value => push(
+            Some(&(_, loaded)) if loaded != value => push(
                 out,
-                NAME,
+                INITIALIZED,
                 format!("M{i} declares value {value} but the prologue loads {loaded}"),
             ),
             Some(_) => {}
@@ -498,38 +603,29 @@ fn registers_initialized(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
     // Every AR referenced after the prologue must be LDA-ed, and a
     // serving AR must start at its first access's address (adjusted by
     // any deltas the body applies before that first serve).
-    let ledgers = body_ledgers(ctx);
-    let mut referenced: BTreeMap<u16, RowLoc> = BTreeMap::new();
-    for (loc, instr) in rows(ctx.program) {
-        if matches!(loc, RowLoc::Prologue(_)) {
-            continue;
-        }
-        if let Some(reg) = instr.register() {
-            referenced.entry(reg.0).or_insert(loc);
-        }
-    }
-    for (&reg, &loc) in &referenced {
-        if !lda.contains_key(&reg) {
+    for (&reg, &loc) in &facts.referenced {
+        if !facts.lda.contains_key(&reg) {
             push(
                 out,
-                NAME,
+                INITIALIZED,
                 format!("AR{reg} used at {loc} but never loaded in the prologue"),
             );
         }
     }
-    for (idx, ledger) in ledgers.iter().enumerate() {
+    for (idx, ledger) in facts.ledgers.iter().enumerate() {
         let Some(&(first_position, head)) = ledger.serves.first() else {
             continue;
         };
-        let (Some(&loaded), Some(expected)) =
-            (lda.get(&(idx as u16)), flat_address(ctx, first_position))
-        else {
+        let (Some(&(_, loaded)), Some(expected)) = (
+            facts.lda.get(&(idx as u16)),
+            flat_address(ctx, first_position),
+        ) else {
             continue; // missing LDA reported above; bad position elsewhere
         };
         if loaded + head != expected {
             push(
                 out,
-                NAME,
+                INITIALIZED,
                 format!(
                     "AR{idx} is loaded to {loaded} but its first serve (position {first_position}) \
                      needs address {expected}{}",
@@ -544,80 +640,30 @@ fn registers_initialized(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
     }
 }
 
-fn use_sequence(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
-    const NAME: &str = "use-sequence";
-    let served: Vec<usize> = ctx
-        .program
-        .body()
-        .iter()
-        .filter_map(|instr| match instr {
-            AddressInstr::Use { position, .. } => Some(*position),
-            _ => None,
-        })
-        .collect();
+fn use_sequence(ctx: &CheckContext<'_>, facts: &Facts, out: &mut Vec<Violation>) {
     let expected = ctx.spec.len();
-    if served.len() != expected {
+    if facts.serves != expected {
         push(
             out,
-            NAME,
+            USE_SEQUENCE,
             format!(
                 "body serves {} accesses but the loop has {expected}",
-                served.len()
+                facts.serves
             ),
         );
     }
-    for (i, &position) in served.iter().enumerate() {
-        if position != i {
-            push(
-                out,
-                NAME,
-                format!("serve #{i} is position {position}, expected {i}"),
-            );
-            break; // one divergence implies a cascade; report the first
-        }
+    // One divergence implies a cascade; the walk kept the first.
+    if let Some((i, position)) = facts.misplaced {
+        push(
+            out,
+            USE_SEQUENCE,
+            format!("serve #{i} is position {position}, expected {i}"),
+        );
     }
 }
 
-fn free_updates_in_range(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
-    const NAME: &str = "free-updates-in-range";
-    for (loc, instr) in rows(ctx.program) {
-        if let AddressInstr::Use {
-            update: Update::Auto { delta },
-            ..
-        } = instr
-        {
-            if !ctx.agu.is_free_delta(*delta) {
-                push(
-                    out,
-                    NAME,
-                    format!(
-                        "{loc} auto post-modify {delta:+} exceeds the machine's modify range M={}",
-                        ctx.agu.update_range()
-                    ),
-                );
-            }
-        }
-    }
-}
-
-fn delta_coverage(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
-    const NAME: &str = "delta-coverage";
-    for (i, instr) in ctx.program.body().iter().enumerate() {
-        match instr {
-            AddressInstr::Lda { reg, .. } => push(
-                out,
-                NAME,
-                format!("body[{i}] reloads {reg} absolutely; steady-state deltas are underivable"),
-            ),
-            AddressInstr::Ldm { mr, .. } => push(
-                out,
-                NAME,
-                format!("body[{i}] reloads {mr}; modify registers must be loop-invariant"),
-            ),
-            _ => {}
-        }
-    }
-    for (idx, ledger) in body_ledgers(ctx).iter().enumerate() {
+fn delta_coverage(ctx: &CheckContext<'_>, facts: &Facts, out: &mut Vec<Violation>) {
+    for (idx, ledger) in facts.ledgers.iter().enumerate() {
         if ledger.poisoned || ledger.serves.is_empty() {
             continue;
         }
@@ -630,7 +676,7 @@ fn delta_coverage(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
             let (Some(a), Some(b)) = (flat_address(ctx, *from), flat_address(ctx, *to)) else {
                 push(
                     out,
-                    NAME,
+                    DELTA_COVERAGE,
                     format!("AR{idx} serves a position outside the loop's access list"),
                 );
                 continue;
@@ -639,7 +685,7 @@ fn delta_coverage(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
             if *gap != distance {
                 push(
                     out,
-                    NAME,
+                    DELTA_COVERAGE,
                     format!(
                         "AR{idx} moves {gap:+} between positions {from} and {to}, but their \
                          addresses are {distance:+} apart"
@@ -650,27 +696,23 @@ fn delta_coverage(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
         // Wrap: tail + head must carry the register from its last serve
         // to its first serve of the next iteration. That distance is
         // only constant when the chain stays on one effective stride.
-        let strides: Vec<i64> = ledger
-            .serves
-            .iter()
-            .filter_map(|&(position, _)| flat_stride(ctx, position))
-            .collect();
-        let Some(&stride) = strides.first() else {
-            continue;
+        let stride = match ledger.stride {
+            Shared::Empty => continue,
+            Shared::Mixed => {
+                push(
+                    out,
+                    DELTA_COVERAGE,
+                    format!(
+                        "AR{idx} serves arrays with different effective strides; its wrap \
+                         delta cannot be constant"
+                    ),
+                );
+                continue;
+            }
+            Shared::One(stride) => stride,
         };
-        if strides.iter().any(|&s| s != stride) {
-            push(
-                out,
-                NAME,
-                format!(
-                    "AR{idx} serves arrays with different effective strides; its wrap delta \
-                     cannot be constant"
-                ),
-            );
-            continue;
-        }
         let (first, head) = ledger.serves[0];
-        let (last, _) = *ledger.serves.last().expect("non-empty");
+        let (last, _) = ledger.serves[ledger.serves.len() - 1];
         let (Some(first_addr), Some(last_addr)) =
             (flat_address(ctx, first), flat_address(ctx, last))
         else {
@@ -681,7 +723,7 @@ fn delta_coverage(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
         if wrap != needed {
             push(
                 out,
-                NAME,
+                DELTA_COVERAGE,
                 format!(
                     "AR{idx} wraps {wrap:+} from position {last} back to position {first}, \
                      but the next iteration needs {needed:+}"
@@ -691,27 +733,16 @@ fn delta_coverage(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
     }
 }
 
-fn steady_state_advance(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
-    const NAME: &str = "steady-state-advance";
-    for (idx, ledger) in body_ledgers(ctx).iter().enumerate() {
-        if ledger.poisoned || ledger.serves.is_empty() {
-            continue;
-        }
-        let strides: Vec<i64> = ledger
-            .serves
-            .iter()
-            .filter_map(|&(position, _)| flat_stride(ctx, position))
-            .collect();
-        let Some(&stride) = strides.first() else {
+fn steady_state_advance(facts: &Facts, out: &mut Vec<Violation>) {
+    for (idx, ledger) in facts.ledgers.iter().enumerate() {
+        // Mixed strides are reported by delta-coverage.
+        let Shared::One(stride) = ledger.stride else {
             continue;
         };
-        if strides.iter().any(|&s| s != stride) {
-            continue; // reported by delta-coverage
-        }
-        if ledger.total != stride {
+        if !ledger.poisoned && ledger.total != stride {
             push(
                 out,
-                NAME,
+                STEADY_STATE,
                 format!(
                     "AR{idx} advances {:+} per iteration but its array strides {stride:+}",
                     ledger.total
@@ -721,68 +752,37 @@ fn steady_state_advance(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
     }
 }
 
-fn carry_boundaries(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
-    const NAME: &str = "carry-boundaries";
-    let blocks = ctx.program.carries();
-    let Some(nest) = ctx.spec.nest() else {
-        if !blocks.is_empty() {
+fn carry_boundaries(ctx: &CheckContext<'_>, facts: &Facts, out: &mut Vec<Violation>) {
+    let Some(periods) = &facts.periods else {
+        let blocks = ctx.program.carries().len();
+        if blocks > 0 {
             push(
                 out,
-                NAME,
-                format!(
-                    "program has {} carry block(s) but the loop is not a flattened nest",
-                    blocks.len()
-                ),
+                CARRY_BOUNDARIES,
+                format!("program has {blocks} carry block(s) but the loop is not a flattened nest"),
             );
         }
         return;
     };
-    let periods = nest.periods();
-    for (b, block) in blocks.iter().enumerate() {
-        if !periods.contains(&block.period) {
-            push(
-                out,
-                NAME,
-                format!(
-                    "carry block {b} fires every {} iterations, which is not a nest period \
-                     (periods: {periods:?})",
-                    block.period
-                ),
-            );
-        }
-        for (i, instr) in block.instrs.iter().enumerate() {
-            if !matches!(instr, AddressInstr::Adda { .. }) {
-                push(
-                    out,
-                    NAME,
-                    format!("carry[{b}][{i}] is `{instr}`, not an ADDA"),
-                );
-            }
-        }
-    }
 
-    // Per register and period, the ADDA sum across blocks must equal
-    // the summed carries of the register's array at the levels sharing
-    // that period (levels with trip count 1 can share a period).
-    let ledgers = body_ledgers(ctx);
-    let mut actual: BTreeMap<(usize, u64), i64> = BTreeMap::new();
-    for block in blocks {
-        for instr in &block.instrs {
-            if let AddressInstr::Adda { reg, delta } = instr {
-                *actual
-                    .entry((usize::from(reg.0), block.period))
-                    .or_default() += delta;
-            }
+    // Per register and period, the ADDA sum across blocks (`got`) must
+    // equal the summed carries of the register's array at the levels
+    // sharing that period (`need`; levels with trip count 1 can share a
+    // period).
+    let mut sums: BTreeMap<(usize, u64), (i64, i64)> = BTreeMap::new();
+    for (&(reg, period), &got) in &facts.carry_sums {
+        // Mixed-array chains are reported by delta-coverage; their
+        // expected carries are not well-defined, so exclude them.
+        let unchained = facts
+            .ledgers
+            .get(reg)
+            .is_some_and(|ledger| !matches!(ledger.array, Shared::One(_)));
+        if !(unchained && periods.contains(&period)) {
+            sums.entry((reg, period)).or_default().0 = got;
         }
     }
-    let mut expected: BTreeMap<(usize, u64), i64> = BTreeMap::new();
-    for (idx, ledger) in ledgers.iter().enumerate() {
-        let Some(array) = chain_array(ctx, ledger) else {
-            // Mixed-array chains are reported by delta-coverage; their
-            // expected carries are not well-defined, so exclude them.
-            for period in &periods {
-                actual.remove(&(idx, *period));
-            }
+    for (idx, ledger) in facts.ledgers.iter().enumerate() {
+        let Shared::One(array) = ledger.array else {
             continue;
         };
         let Some(info) = ctx.spec.array_info(array) else {
@@ -791,20 +791,15 @@ fn carry_boundaries(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
         for (k, &period) in periods.iter().enumerate() {
             let carry = info.carries().get(k).copied().unwrap_or(0);
             if carry != 0 {
-                *expected.entry((idx, period)).or_default() += carry;
+                sums.entry((idx, period)).or_default().1 += carry;
             }
         }
     }
-    let keys: std::collections::BTreeSet<(usize, u64)> =
-        actual.keys().chain(expected.keys()).copied().collect();
-    for key in keys {
-        let got = actual.get(&key).copied().unwrap_or(0);
-        let need = expected.get(&key).copied().unwrap_or(0);
+    for ((reg, period), (got, need)) in sums {
         if got != need {
-            let (reg, period) = key;
             push(
                 out,
-                NAME,
+                CARRY_BOUNDARIES,
                 format!(
                     "AR{reg} carry at period {period}: rows add {got:+}, nest requires {need:+}"
                 ),
@@ -813,15 +808,14 @@ fn carry_boundaries(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
     }
 }
 
-fn cycle_accounting(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
-    const NAME: &str = "cycle-accounting";
+fn cycle_accounting(ctx: &CheckContext<'_>, facts: &Facts, out: &mut Vec<Violation>) {
     // Prices come from the *machine's* cost table, so a program whose
     // embedded table disagrees with the target machine is caught here.
     let costs = ctx.agu.cost_table();
     if ctx.program.cost_table() != costs {
         push(
             out,
-            NAME,
+            CYCLE_ACCOUNTING,
             format!(
                 "program is priced under a different cost table (lda={}, ldm={}, adda={}) than the machine (lda={}, ldm={}, adda={})",
                 ctx.program.cost_table().lda(),
@@ -833,16 +827,11 @@ fn cycle_accounting(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
             ),
         );
     }
-    let derived: u64 = ctx
-        .program
-        .body()
-        .iter()
-        .map(|i| i.cycles_with(&costs))
-        .sum();
+    let derived = facts.body_cycles;
     if derived != ctx.program.cycles_per_iteration() {
         push(
             out,
-            NAME,
+            CYCLE_ACCOUNTING,
             format!(
                 "rows give {derived} cycles per iteration but the program claims {}",
                 ctx.program.cycles_per_iteration()
@@ -853,20 +842,20 @@ fn cycle_accounting(ctx: &CheckContext<'_>, out: &mut Vec<Violation>) {
         if expected != derived {
             push(
                 out,
-                NAME,
+                CYCLE_ACCOUNTING,
                 format!(
                     "cost model claims {expected} cycles per iteration but the rows give {derived}"
                 ),
             );
         }
     }
-    let words: u64 = rows(ctx.program).map(|(_, instr)| instr.words()).sum();
-    if words != ctx.program.words() {
+    if facts.words != ctx.program.words() {
         push(
             out,
-            NAME,
+            CYCLE_ACCOUNTING,
             format!(
-                "rows occupy {words} instruction words but the program claims {}",
+                "rows occupy {} instruction words but the program claims {}",
+                facts.words,
                 ctx.program.words()
             ),
         );

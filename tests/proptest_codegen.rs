@@ -122,82 +122,6 @@ proptest! {
     }
 
     #[test]
-    fn peephole_recovers_injected_slack(
-        spec in random_loop(),
-        split in -2i64..=2,
-    ) {
-        // Take a correct generated program, de-optimize it in
-        // semantics-preserving ways (free updates → explicit ADDAs, one
-        // ADDA → two, stray ADDA 0s), then peephole-optimize and check
-        // both the slack and the optimized program still verify — and
-        // that the optimizer never makes things worse.
-        use raco::agu::{peephole, AddressInstr, AddressProgram, Update};
-        let agu = AguSpec::new(6, 1).unwrap();
-        let arrays_used = spec.patterns().len();
-        if arrays_used == 0 || arrays_used > 6 {
-            return Ok(());
-        }
-        let alloc = Optimizer::new(agu).allocate_loop(&spec).expect("fits");
-        let layout = MemoryLayout::contiguous(&spec, 0x1000, 0x100);
-        let program = CodeGenerator::new(agu)
-            .generate(&spec, &alloc, &layout)
-            .expect("emits");
-
-        let mut slack_body: Vec<AddressInstr> = Vec::new();
-        for instr in program.body() {
-            match *instr {
-                AddressInstr::Use {
-                    reg,
-                    position,
-                    update: Update::Auto { delta },
-                } if delta != 0 => {
-                    // Free update → USE + explicit ADDA (possibly split).
-                    slack_body.push(AddressInstr::Use {
-                        reg,
-                        position,
-                        update: Update::None,
-                    });
-                    if split != 0 && split != delta {
-                        slack_body.push(AddressInstr::Adda { reg, delta: split });
-                        slack_body.push(AddressInstr::Adda {
-                            reg,
-                            delta: delta - split,
-                        });
-                    } else {
-                        slack_body.push(AddressInstr::Adda { reg, delta });
-                    }
-                    slack_body.push(AddressInstr::Adda { reg, delta: 0 });
-                }
-                other => slack_body.push(other),
-            }
-        }
-        let slack = AddressProgram::new(
-            program.prologue().to_vec(),
-            slack_body,
-            program.address_registers(),
-            program.modify_values().to_vec(),
-        );
-        // A slack machine with a huge modify range would hide nothing;
-        // verify against the true machine. The slack program's explicit
-        // ADDAs are machine-independent, so it still runs on `agu`.
-        let trace = Trace::capture(&spec, &layout, 6);
-        let slack_report = sim::run(&slack, &trace, &agu).expect("slack verifies");
-        let (optimized, stats) = peephole::optimize(&slack, &agu);
-        let opt_report = sim::run(&optimized, &trace, &agu).expect("optimized verifies");
-        prop_assert!(
-            opt_report.explicit_updates_per_iteration()
-                <= slack_report.explicit_updates_per_iteration()
-        );
-        // Everything injected must be recoverable.
-        prop_assert_eq!(
-            opt_report.explicit_updates_per_iteration(),
-            u64::from(alloc.total_cost()),
-            "peephole must restore the original cost (stats {:?})",
-            stats
-        );
-    }
-
-    #[test]
     fn listings_are_parseable_text(spec in random_loop()) {
         let agu = AguSpec::new(6, 1).unwrap().with_modify_registers(1);
         let arrays_used = spec.patterns().len();
