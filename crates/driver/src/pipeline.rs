@@ -84,6 +84,14 @@ pub const SOURCE_EXTENSIONS: &[&str] = &["dsp", "loop", "c"];
 /// validate more of such a nest.
 pub const NEST_VALIDATION_CAP: u64 = 4096;
 
+/// Most trace entries (simulated iterations × accesses per iteration)
+/// one loop's validation may capture. The trace is allocated up front,
+/// so an unbounded iteration count from a request would abort the
+/// process on allocation; the simulated iteration count is clamped to
+/// fit. Far above every kernel-suite loop and every fully validated
+/// 4096-iteration nest of up to 256 accesses.
+const VALIDATION_TRACE_BUDGET: u64 = 1 << 20;
+
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
@@ -99,7 +107,9 @@ pub struct PipelineConfig {
     /// Iterations to simulate when `validate` is on. Flattened loop
     /// nests always validate their whole finite iteration space capped
     /// at `max(validation_iterations, NEST_VALIDATION_CAP)` — see
-    /// [`NEST_VALIDATION_CAP`].
+    /// [`NEST_VALIDATION_CAP`]. Either count is further clamped so one
+    /// loop's trace holds at most 2^20 entries (iterations × accesses
+    /// per iteration).
     pub validation_iterations: u64,
     /// Base address of the first array in the per-loop memory layout.
     pub layout_origin: i64,
@@ -596,7 +606,8 @@ impl Pipeline {
                     .total_iterations()
                     .clamp(1, config.validation_iterations.max(NEST_VALIDATION_CAP)),
                 None => config.validation_iterations.max(1),
-            };
+            }
+            .min((VALIDATION_TRACE_BUDGET / spec.len().max(1) as u64).max(1));
             let outcome = {
                 let trace = Trace::capture(spec, &layout, iterations);
                 sim::run(&program, &trace, &config.agu)

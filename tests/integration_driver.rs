@@ -205,6 +205,21 @@ fn modify_register_machines_validate_with_bounded_cost() {
     assert!(lr.measured_cost.unwrap() <= lr.cost);
 }
 
+#[test]
+fn a_huge_validation_iteration_count_is_clamped_not_allocated() {
+    // 10^11 iterations of a one-access loop would be a 3.2 TB trace;
+    // the pipeline clamps the simulated count to its trace budget.
+    let mut config = PipelineConfig::new(AguSpec::default());
+    config.validation_iterations = 100_000_000_000;
+    let report = Pipeline::with_config(config)
+        .compile_str("huge", "for (i = 0; i < 8; i++) { s += x[i]; }")
+        .unwrap();
+    let lr = &report.units[0].loops[0];
+    assert!(lr.succeeded(), "{:?}", lr.failure);
+    assert_eq!(lr.measured_cost, Some(lr.cost));
+    assert_eq!(lr.addresses_checked, 1 << 20);
+}
+
 // ---------------------------------------------------------------------
 // Backward-compat pin: the classic machines re-expressed as declarative
 // descriptions must reproduce the pre-refactor toolchain byte for byte.

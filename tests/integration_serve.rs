@@ -155,6 +155,23 @@ fn shutdown_stops_the_loop_before_later_requests() {
 }
 
 #[test]
+fn a_huge_iterations_knob_gets_an_answer_and_the_server_lives_on() {
+    let server = default_server();
+    let responses = round_trip(
+        &server,
+        concat!(
+            r#"{"op":"compile","id":1,"source":"for (i = 0; i < 8; i++) { s += x[i]; }","iterations":100000000000}"#,
+            "\n",
+            r#"{"op":"ping","id":2}"#,
+            "\n",
+        ),
+    );
+    assert_eq!(responses.len(), 2);
+    assert!(ok(&responses[0]), "{}", responses[0].render());
+    assert!(ok(&responses[1]), "{}", responses[1].render());
+}
+
+#[test]
 fn malformed_requests_get_error_responses_and_do_not_kill_the_session() {
     let server = default_server();
     let responses = round_trip(
