@@ -635,17 +635,16 @@ impl ServerUnderTest {
     /// Spawns `binary serve` over `transport` with extra CLI args
     /// (e.g. `--cache-load <path>`).
     pub fn spawn(binary: &Path, transport: Transport, extra_args: &[String]) -> io::Result<Self> {
-        let mut command = Command::new(binary);
-        command.arg("serve");
         match transport {
             Transport::Stdio => {
-                command
+                let mut child = Command::new(binary)
+                    .arg("serve")
                     .arg("--stdio")
                     .args(extra_args)
                     .stdin(Stdio::piped())
                     .stdout(Stdio::piped())
-                    .stderr(Stdio::null());
-                let mut child = command.spawn()?;
+                    .stderr(Stdio::null())
+                    .spawn()?;
                 let writer = Box::new(child.stdin.take().expect("piped stdin"));
                 let reader =
                     BufReader::new(Box::new(child.stdout.take().expect("piped stdout"))
@@ -657,37 +656,7 @@ impl ServerUnderTest {
                 })
             }
             Transport::Tcp => {
-                command
-                    .args(["--tcp", "127.0.0.1:0"])
-                    .args(extra_args)
-                    .stdin(Stdio::null())
-                    .stdout(Stdio::null())
-                    .stderr(Stdio::piped());
-                let mut child = command.spawn()?;
-                let stderr = child.stderr.take().expect("piped stderr");
-                let mut lines = BufReader::new(stderr);
-                let addr = loop {
-                    let mut line = String::new();
-                    if lines.read_line(&mut line)? == 0 {
-                        let _ = child.kill();
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "server exited before announcing its port",
-                        ));
-                    }
-                    if let Some(addr) = line.trim().strip_prefix("raco serve: listening on ") {
-                        break addr.to_owned();
-                    }
-                };
-                // Keep draining stderr so the child can never block on
-                // a full pipe.
-                std::thread::spawn(move || {
-                    let mut sink = String::new();
-                    let mut lines = lines;
-                    while matches!(lines.read_line(&mut sink), Ok(n) if n > 0) {
-                        sink.clear();
-                    }
-                });
+                let (child, addr) = crate::loadgen::spawn_tcp_server(binary, extra_args)?;
                 let stream = TcpStream::connect(&addr)?;
                 stream.set_read_timeout(Some(Duration::from_secs(30)))?;
                 let writer = Box::new(stream.try_clone()?);

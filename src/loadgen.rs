@@ -310,40 +310,9 @@ struct SpawnedServer {
 }
 
 impl SpawnedServer {
-    /// Spawns `binary serve --tcp 127.0.0.1:0 <extra>` and scrapes the
-    /// bound address from its stderr announcement.
+    /// Spawns `binary serve --tcp 127.0.0.1:0 <extra>`.
     fn spawn(binary: &Path, extra_args: &[String]) -> io::Result<Self> {
-        let mut child = Command::new(binary)
-            .arg("serve")
-            .args(["--tcp", "127.0.0.1:0"])
-            .args(extra_args)
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()?;
-        let stderr = child.stderr.take().expect("piped stderr");
-        let mut lines = BufReader::new(stderr);
-        let addr = loop {
-            let mut line = String::new();
-            if lines.read_line(&mut line)? == 0 {
-                let _ = child.kill();
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server exited before announcing its port",
-                ));
-            }
-            if let Some(addr) = line.trim().strip_prefix("raco serve: listening on ") {
-                break addr.to_owned();
-            }
-        };
-        // Keep draining stderr so the child can never block on a full
-        // pipe (shutdown snapshots and warnings land there).
-        std::thread::spawn(move || {
-            let mut sink = String::new();
-            while matches!(lines.read_line(&mut sink), Ok(n) if n > 0) {
-                sink.clear();
-            }
-        });
+        let (child, addr) = spawn_tcp_server(binary, extra_args)?;
         Ok(SpawnedServer { child, addr })
     }
 
@@ -364,6 +333,46 @@ impl Drop for SpawnedServer {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
+}
+
+/// Spawns `binary serve --tcp 127.0.0.1:0 <extra_args>` and returns
+/// the child with the address it announces on stderr. A thread keeps
+/// draining stderr afterwards so the child can never block on a full
+/// pipe (shutdown snapshots and warnings land there).
+pub(crate) fn spawn_tcp_server(
+    binary: &Path,
+    extra_args: &[String],
+) -> io::Result<(Child, String)> {
+    let mut child = Command::new(binary)
+        .arg("serve")
+        .args(["--tcp", "127.0.0.1:0"])
+        .args(extra_args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()?;
+    let stderr = child.stderr.take().expect("piped stderr");
+    let mut lines = BufReader::new(stderr);
+    let addr = loop {
+        let mut line = String::new();
+        if lines.read_line(&mut line)? == 0 {
+            let _ = child.kill();
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server exited before announcing its port",
+            ));
+        }
+        if let Some(addr) = line.trim().strip_prefix("raco serve: listening on ") {
+            break addr.to_owned();
+        }
+    };
+    std::thread::spawn(move || {
+        let mut sink = String::new();
+        while matches!(lines.read_line(&mut sink), Ok(n) if n > 0) {
+            sink.clear();
+        }
+    });
+    Ok((child, addr))
 }
 
 /// One framed NDJSON connection.
