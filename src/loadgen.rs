@@ -310,12 +310,6 @@ struct SpawnedServer {
 }
 
 impl SpawnedServer {
-    /// Spawns `binary serve --tcp 127.0.0.1:0 <extra>`.
-    fn spawn(binary: &Path, extra_args: &[String]) -> io::Result<Self> {
-        let (child, addr) = spawn_tcp_server(binary, extra_args)?;
-        Ok(SpawnedServer { child, addr })
-    }
-
     /// Asks the server to shut down and waits for it to exit.
     fn shutdown(mut self) -> io::Result<()> {
         let mut client = Client::connect(&self.addr)?;
@@ -507,7 +501,8 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
     let spawned = match &config.addr {
         Some(_) => None,
         None => Some(
-            SpawnedServer::spawn(&config.binary, &config.server_args)
+            spawn_tcp_server(&config.binary, &config.server_args)
+                .map(|(child, addr)| SpawnedServer { child, addr })
                 .map_err(|e| format!("loadgen: cannot spawn server: {e}"))?,
         ),
     };
