@@ -27,17 +27,6 @@ fn phase2_histogram() -> &'static Arc<Histogram> {
     HISTOGRAM.get_or_init(|| raco_obs::global().histogram("core.phase2"))
 }
 
-/// Phase-1 output bundled with the distance model it ran on.
-///
-/// Prepared once per pattern and shared by the cost curve and the final
-/// allocation, so the branch-and-bound search — the cycle sink of the
-/// whole allocator — runs exactly once per pattern in
-/// [`Optimizer::allocate_loop`].
-struct PreparedPattern {
-    dm: DistanceModel,
-    phase1: Phase1Report,
-}
-
 /// Configuration of the two-phase allocator.
 ///
 /// Options are `Hash` so they can participate in allocation-cache keys
@@ -200,29 +189,30 @@ impl Optimizer {
     }
 
     fn allocate_model_with_registers(&self, dm: DistanceModel, k: usize) -> Allocation {
-        let prepared = self.prepare_model(dm);
-        let phase2 = self.best_phase2(&prepared.phase1, &prepared.dm, k);
-        self.finish_allocation(prepared, phase2)
+        let phase1 = self.phase1(&dm);
+        let phase2 = self.best_phase2(&phase1, &dm, k);
+        self.finish_allocation(dm, phase1, phase2)
     }
 
     /// Runs Phase 1 on a distance model, recording its latency.
-    fn prepare_model(&self, dm: DistanceModel) -> PreparedPattern {
-        let phase1 = phase1_histogram().time(|| phase1::run(&dm, self.options.bb));
-        PreparedPattern { dm, phase1 }
+    fn phase1(&self, dm: &DistanceModel) -> Phase1Report {
+        phase1_histogram().time(|| phase1::run(dm, self.options.bb))
     }
 
-    /// Assembles an [`Allocation`] from prepared Phase-1 state and a
-    /// Phase-2 result, pricing the final cover. Moves both parts — no
-    /// clones on this path.
-    fn finish_allocation(&self, prepared: PreparedPattern, phase2: Phase2Report) -> Allocation {
-        let cost = self
-            .options
-            .cost_model
-            .cover_cost(phase2.cover(), &prepared.dm);
+    /// Assembles an [`Allocation`] from its distance model, Phase-1
+    /// report and a Phase-2 result, pricing the final cover. Moves all
+    /// parts — no clones on this path.
+    fn finish_allocation(
+        &self,
+        dm: DistanceModel,
+        phase1: Phase1Report,
+        phase2: Phase2Report,
+    ) -> Allocation {
+        let cost = self.options.cost_model.cover_cost(phase2.cover(), &dm);
         Allocation {
-            dm: prepared.dm,
+            dm,
             cost,
-            phase1: prepared.phase1,
+            phase1,
             phase2,
         }
     }
@@ -300,36 +290,18 @@ impl Optimizer {
                 registers: k,
             });
         }
-        // Cost curve per pattern: cost with 1..=k registers. Phase 1
-        // runs once per pattern and is shared with the final allocation
-        // below; on MR machines the curve's selection sweep already
-        // produced the Phase-2 report for every register count, so the
-        // granted-k allocation is a lookup, not a re-run (previously
-        // both the branch-and-bound search and the sweep ran twice).
-        let mut prepared = Vec::with_capacity(patterns.len());
-        let mut curves: Vec<Vec<u32>> = Vec::with_capacity(patterns.len());
-        let mut swept: Vec<Vec<Phase2Report>> = Vec::with_capacity(patterns.len());
-        for p in &patterns {
-            let prep = self.prepare_model(DistanceModel::with_range(p, self.agu.update_range()));
-            let (curve, reports) = self.curve_from(&prep, k, true);
-            prepared.push(prep);
-            curves.push(curve);
-            swept.push(reports);
-        }
+        // One sweep per pattern: Phase 1 once, then the cost with
+        // 1..=k registers. The granted-k allocation finishes the same
+        // sweep, so neither the branch-and-bound search nor the MR
+        // selection sweep runs twice.
+        let sweeps: Vec<Sweep<'_>> = patterns.iter().map(|p| self.sweep(p, k)).collect();
+        let curves: Vec<Vec<u32>> = sweeps.iter().map(|s| s.curve().to_vec()).collect();
         let assignment = partition::distribute_registers(&curves, k).expect("arity checked above");
         let per_array = patterns
             .iter()
-            .zip(prepared)
-            .zip(swept)
+            .zip(sweeps)
             .zip(&assignment)
-            .map(|(((p, prep), mut reports), &ka)| {
-                let phase2 = if ka <= reports.len() {
-                    reports.swap_remove(ka - 1)
-                } else {
-                    self.best_phase2(&prep.phase1, &prep.dm, ka)
-                };
-                (p.array(), Arc::new(self.finish_allocation(prep, phase2)))
-            })
+            .map(|((p, sweep), &ka)| (p.array(), Arc::new(sweep.into_allocation(ka))))
             .collect::<Vec<_>>();
         // Modify registers are machine-wide: the loop's total is priced
         // over the pooled covers (see CostModel::covers_cost), not as a
@@ -360,63 +332,121 @@ impl Optimizer {
     /// cheaper chain). The curve is therefore non-increasing in `k` by
     /// construction.
     pub fn cost_curve(&self, pattern: &AccessPattern, k_max: usize) -> Vec<u32> {
-        let prepared =
-            self.prepare_model(DistanceModel::with_range(pattern, self.agu.update_range()));
-        self.curve_from(&prepared, k_max, false).0
+        self.sweep(pattern, k_max).curve
     }
 
-    /// Computes the cost curve from prepared Phase-1 state. With
-    /// `keep_reports`, the MR selection sweep's per-`k` Phase-2 reports
-    /// are returned alongside the curve (indexed by `k - 1`) so a caller
-    /// that goes on to allocate at one of the swept counts can reuse the
-    /// report instead of re-running the sweep; on the single-trajectory
-    /// path the report vector is empty.
-    fn curve_from(
-        &self,
-        prepared: &PreparedPattern,
-        k_max: usize,
-        keep_reports: bool,
-    ) -> (Vec<u32>, Vec<Phase2Report>) {
-        let PreparedPattern { dm, phase1 } = prepared;
-        if self.options.cost_model.modify_registers() > 0
+    /// Sweeps `pattern` over `1..=k_max` registers: Phase 1 once, then
+    /// the [cost curve](Self::cost_curve). The returned [`Sweep`]
+    /// keeps what an allocation at any register count can reuse, so
+    /// [`Sweep::into_allocation`] equals
+    /// [`allocate_with_registers`](Self::allocate_with_registers) at
+    /// that count without repeating the search.
+    ///
+    /// ```
+    /// use raco_core::Optimizer;
+    /// use raco_ir::{AccessPattern, AguSpec};
+    ///
+    /// let pattern = AccessPattern::from_offsets(&[1, 0, 2, -1, 1, 0, -2], 1);
+    /// let opt = Optimizer::new(AguSpec::new(4, 1).unwrap().with_modify_registers(1));
+    /// let sweep = opt.sweep(&pattern, 4);
+    /// assert_eq!(sweep.curve(), opt.cost_curve(&pattern, 4).as_slice());
+    /// assert_eq!(sweep.into_allocation(2), opt.allocate_with_registers(&pattern, 2));
+    /// ```
+    pub fn sweep(&self, pattern: &AccessPattern, k_max: usize) -> Sweep<'_> {
+        let dm = DistanceModel::with_range(pattern, self.agu.update_range());
+        let phase1 = self.phase1(&dm);
+        let (curve, reports) = if self.options.cost_model.modify_registers() > 0
             && self.options.strategy == MergeStrategy::GreedyMinCost
         {
             // MR-aware greedy allocations come out of a selection sweep
             // (see best_phase2), whose result a single merge trajectory
             // cannot reproduce — run the sweep per register count so
-            // curve entries equal what allocation at that count costs.
-            let mut reports = Vec::with_capacity(if keep_reports { k_max } else { 0 });
-            let mut running_min = u32::MAX;
-            let curve = (1..=k_max)
-                .map(|k| {
-                    let phase2 = self.best_phase2(phase1, dm, k);
-                    let at_k = self.options.cost_model.cover_cost(phase2.cover(), dm);
-                    if keep_reports {
-                        reports.push(phase2);
-                    }
-                    running_min = running_min.min(at_k);
-                    running_min
-                })
+            // curve entries equal what allocation at that count costs,
+            // and keep each count's report for the allocation.
+            let reports: Vec<Phase2Report> = (1..=k_max)
+                .map(|k| self.best_phase2(&phase1, &dm, k))
                 .collect();
-            return (curve, reports);
-        }
-        let base_cost = self.options.cost_model.cover_cost(phase1.cover(), dm);
-        let phase2 = phase2::merge_until(
-            phase1.cover(),
-            1,
+            let costs = reports
+                .iter()
+                .map(|r| self.options.cost_model.cover_cost(r.cover(), &dm));
+            (running_min(costs), reports)
+        } else {
+            let base_cost = self.options.cost_model.cover_cost(phase1.cover(), &dm);
+            let trajectory = phase2::merge_until(
+                phase1.cover(),
+                1,
+                &dm,
+                self.options.cost_model,
+                self.options.strategy,
+            );
+            let costs = (1..=k_max).map(|k| trajectory.cost_at(k).unwrap_or(base_cost));
+            (running_min(costs), Vec::new())
+        };
+        Sweep {
+            optimizer: self,
             dm,
-            self.options.cost_model,
-            self.options.strategy,
-        );
-        let mut running_min = u32::MAX;
-        let curve = (1..=k_max)
-            .map(|k| {
-                let at_k = phase2.cost_at(k).unwrap_or(base_cost);
-                running_min = running_min.min(at_k);
-                running_min
-            })
-            .collect();
-        (curve, Vec::new())
+            phase1,
+            curve,
+            reports,
+        }
+    }
+}
+
+/// Prefix minima of `costs`: a budget of `k` registers admits any
+/// allocation with at most `k` paths.
+fn running_min(costs: impl Iterator<Item = u32>) -> Vec<u32> {
+    costs
+        .scan(u32::MAX, |min, cost| {
+            *min = (*min).min(cost);
+            Some(*min)
+        })
+        .collect()
+}
+
+/// One pattern's register sweep (see [`Optimizer::sweep`]): the
+/// distance model, the Phase-1 report, the cost curve over `1..=k_max`
+/// registers and — on machines whose Phase 2 runs the MR selection
+/// sweep — that sweep's Phase-2 report for every register count.
+///
+/// A sweep belongs to the optimizer and the pattern it was computed
+/// from: [`into_allocation`](Self::into_allocation) finishes that
+/// pattern's allocation and no other.
+#[derive(Debug)]
+pub struct Sweep<'a> {
+    optimizer: &'a Optimizer,
+    dm: DistanceModel,
+    phase1: Phase1Report,
+    curve: Vec<u32>,
+    /// Phase-2 reports indexed by `k - 1`; empty on the
+    /// single-trajectory path.
+    reports: Vec<Phase2Report>,
+}
+
+impl Sweep<'_> {
+    /// The cost with `1..=k_max` registers, indexed by `k - 1`; equal
+    /// to [`Optimizer::cost_curve`].
+    pub fn curve(&self) -> &[u32] {
+        &self.curve
+    }
+
+    /// The allocation onto exactly `k` registers, equal to
+    /// [`Optimizer::allocate_with_registers`]. Phase 1 is not run
+    /// again; Phase 2 is taken from the stored report for `k`, or run
+    /// once when the sweep kept no report for `k`.
+    pub fn into_allocation(self, k: usize) -> Allocation {
+        let Sweep {
+            optimizer,
+            dm,
+            phase1,
+            mut reports,
+            ..
+        } = self;
+        let phase2 = if (1..=reports.len()).contains(&k) {
+            reports.swap_remove(k - 1)
+        } else {
+            optimizer.best_phase2(&phase1, &dm, k)
+        };
+        optimizer.finish_allocation(dm, phase1, phase2)
     }
 }
 

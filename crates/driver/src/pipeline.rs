@@ -480,7 +480,10 @@ impl Pipeline {
             timings,
             parse_time,
         } = batch;
-        let compiled = map_parallel(config.parallelism, &loops, |_, (unit, spec)| {
+        // Resolved once per batch: the pool runs on exactly the worker
+        // count the report's `threads` field states.
+        let threads = config.parallelism.resolve(loops.len());
+        let compiled = map_parallel(threads, &loops, |_, (unit, spec)| {
             (*unit, self.compile_loop_timed(config, spec, &timings))
         });
 
@@ -516,7 +519,7 @@ impl Pipeline {
             update_range: config.agu.update_range(),
             costs: config.agu.cost_table(),
             modify_registers: config.agu.modify_registers(),
-            threads: config.parallelism.resolve(loops.len()),
+            threads,
             elapsed: parse_time + started.elapsed(),
             cache: self.cache.stats(),
             timings: timings.finish(),
@@ -672,13 +675,20 @@ impl Pipeline {
 
     /// Allocates one loop, going through the cache when enabled.
     ///
-    /// The cached path mirrors [`Optimizer::allocate_loop`] exactly:
+    /// The cached path is a memo over [`Optimizer::allocate_loop`]:
     /// per-pattern cost curves (cached by curve class — the
     /// mirror-invariant cost class on symmetric machines, the exact
-    /// canonical form otherwise) feed the register partition, then
-    /// each array is allocated with
-    /// its granted register count (cached by exact canonical form, so
-    /// hits reuse covers *and* concrete update deltas).
+    /// canonical form otherwise) feed the register partition, then each
+    /// array is allocated with its granted register count (cached by
+    /// exact canonical form, so hits reuse covers *and* concrete update
+    /// deltas). A curve miss computes the pattern's [`Sweep`] and keeps
+    /// it; when that pattern's allocation lookup misses too, the kept
+    /// sweep is finished, so a cold miss does `allocate_loop`'s work
+    /// and no more. An allocation miss after a curve *hit* (a mirrored
+    /// pattern, or an entry the bounded policy evicted) has no sweep of
+    /// its own and allocates from scratch.
+    ///
+    /// [`Sweep`]: raco_core::Sweep
     fn allocate(
         &self,
         config: &PipelineConfig,
@@ -723,18 +733,21 @@ impl Pipeline {
         // read per boundary (see ParsedBatch::parse).
         let mut mark = Instant::now();
         let mut curves: Vec<Vec<u32>> = Vec::with_capacity(patterns.len());
+        let mut sweeps = Vec::with_capacity(patterns.len());
         for (pattern, canonical) in patterns.iter().zip(&canonicals) {
-            let mut missed = false;
+            let mut sweep = None;
             let curve = self
                 .cache
                 .cost_curve(canonical, range, k, &options, || {
-                    missed = true;
-                    optimizer.cost_curve(pattern, k)
+                    let computed = optimizer.sweep(pattern, k);
+                    let curve = computed.curve().to_vec();
+                    sweep = Some(computed);
+                    curve
                 })
                 .as_ref()
                 .clone();
             let now = Instant::now();
-            let stage = if missed {
+            let stage = if sweep.is_some() {
                 Stage::CurveMiss
             } else {
                 Stage::CurveHit
@@ -742,6 +755,7 @@ impl Pipeline {
             timings.record_ns(stage, now.duration_since(mark).as_nanos() as u64);
             mark = now;
             curves.push(curve);
+            sweeps.push(sweep);
         }
         let grants = partition::distribute_registers(&curves, k);
         let now = Instant::now();
@@ -750,13 +764,17 @@ impl Pipeline {
         let grants = grants.map_err(|e| LoopFailure::Allocation(e.to_string()))?;
 
         let mut per_array = Vec::with_capacity(patterns.len());
-        for ((pattern, canonical), &granted) in patterns.iter().zip(&canonicals).zip(&grants) {
+        let arrays = patterns.iter().zip(&canonicals).zip(&grants).zip(sweeps);
+        for (((pattern, canonical), &granted), sweep) in arrays {
             let mut missed = false;
             let allocation = self
                 .cache
                 .allocation(canonical, range, granted, &options, || {
                     missed = true;
-                    optimizer.allocate_with_registers(pattern, granted)
+                    match sweep {
+                        Some(sweep) => sweep.into_allocation(granted),
+                        None => optimizer.allocate_with_registers(pattern, granted),
+                    }
                 });
             let now = Instant::now();
             let stage = if missed {
@@ -1082,6 +1100,30 @@ mod tests {
             !uncached_stages.contains(&"alloc_hit"),
             "{uncached_stages:?}"
         );
+    }
+
+    #[test]
+    fn single_thread_reports_account_for_their_wall_time() {
+        let mut config = PipelineConfig::new(AguSpec::new(4, 1).unwrap());
+        config.parallelism = Parallelism::Sequential;
+        let report = Pipeline::with_config(config)
+            .compile_str(
+                "unit",
+                "for (i = 0; i < 64; i++) { y[i] = x[i-1] + x[i] + x[i+1]; }",
+            )
+            .unwrap();
+        assert_eq!(report.threads, 1);
+        let staged: u64 = report.timings.iter().map(|t| t.total_ns).sum();
+        let untimed = report.untimed().expect("one thread");
+        // The stages are disjoint slices of the batch's wall time, so
+        // the identity holds without saturation.
+        assert_eq!(untimed + Duration::from_nanos(staged), report.elapsed);
+        assert!(report
+            .render_timings_table()
+            .lines()
+            .last()
+            .unwrap()
+            .starts_with("untimed"));
     }
 
     #[test]

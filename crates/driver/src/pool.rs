@@ -12,11 +12,29 @@
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+/// The number of hardware threads this process may run on, read once
+/// per process (1 if the platform cannot tell).
+///
+/// The query is not free — on Linux it reads cgroup quota files — so it
+/// must never run per compile. The first caller pays it; every later
+/// call is a load.
+pub fn hardware_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
 
 /// Degree of parallelism for a batch run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// One worker per available CPU (the default).
+    /// One worker per hardware thread (the default). The count is
+    /// [`hardware_threads`], read once per process: a CPU quota changed
+    /// while the process runs is not seen.
     #[default]
     Auto,
     /// Exactly this many workers (clamped to at least one).
@@ -29,13 +47,8 @@ pub enum Parallelism {
 impl Parallelism {
     /// Resolves to a concrete worker count for `items` work items.
     pub fn resolve(self, items: usize) -> usize {
-        let hw = || {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        };
         let workers = match self {
-            Parallelism::Auto => hw(),
+            Parallelism::Auto => hardware_threads(),
             Parallelism::Fixed(n) => n.max(1),
             Parallelism::Sequential => 1,
         };
@@ -43,19 +56,21 @@ impl Parallelism {
     }
 }
 
-/// Maps `f` over `items` on `parallelism` workers, preserving order.
+/// Maps `f` over `items` on `workers` threads (one or fewer runs on the
+/// calling thread), preserving order. Callers size `workers` with
+/// [`Parallelism::resolve`], once per batch.
 ///
 /// `f` must be `Sync` because multiple workers call it concurrently;
 /// results are written into per-index slots, so no ordering games are
 /// needed. Panics in `f` propagate to the caller (the scope joins all
 /// workers first).
-pub fn map_parallel<T, R, F>(parallelism: Parallelism, items: &[T], f: F) -> Vec<R>
+pub fn map_parallel<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = parallelism.resolve(items.len());
+    let workers = workers.min(items.len());
     if workers <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
@@ -96,15 +111,15 @@ mod tests {
     #[test]
     fn preserves_input_order() {
         let items: Vec<u64> = (0..257).collect();
-        let doubled = map_parallel(Parallelism::Fixed(8), &items, |_, &x| x * 2);
+        let doubled = map_parallel(8, &items, |_, &x| x * 2);
         assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn sequential_and_parallel_agree() {
         let items: Vec<i64> = (-50..50).collect();
-        let seq = map_parallel(Parallelism::Sequential, &items, |i, &x| x + i as i64);
-        let par = map_parallel(Parallelism::Fixed(4), &items, |i, &x| x + i as i64);
+        let seq = map_parallel(1, &items, |i, &x| x + i as i64);
+        let par = map_parallel(4, &items, |i, &x| x + i as i64);
         assert_eq!(seq, par);
     }
 
@@ -112,7 +127,8 @@ mod tests {
     fn every_item_is_processed_exactly_once() {
         let counter = AtomicUsize::new(0);
         let items: Vec<u32> = (0..1000).collect();
-        let _ = map_parallel(Parallelism::Auto, &items, |_, _| {
+        let workers = Parallelism::Auto.resolve(items.len());
+        let _ = map_parallel(workers, &items, |_, _| {
             counter.fetch_add(1, Ordering::Relaxed)
         });
         assert_eq!(counter.load(Ordering::Relaxed), items.len());
@@ -128,8 +144,17 @@ mod tests {
     }
 
     #[test]
+    fn auto_resolves_to_the_cached_hardware_count() {
+        let hw = hardware_threads();
+        assert!(hw >= 1);
+        assert_eq!(hardware_threads(), hw, "read once, stable afterwards");
+        assert_eq!(Parallelism::Auto.resolve(usize::MAX), hw);
+        assert_eq!(Parallelism::Auto.resolve(1), 1);
+    }
+
+    #[test]
     fn empty_input_yields_empty_output() {
-        let out: Vec<u8> = map_parallel(Parallelism::Auto, &[] as &[u8], |_, &x| x);
+        let out: Vec<u8> = map_parallel(4, &[] as &[u8], |_, &x| x);
         assert!(out.is_empty());
     }
 }

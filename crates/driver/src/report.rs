@@ -275,6 +275,20 @@ impl CompilationReport {
         }
     }
 
+    /// Wall time no named stage accounts for: [`elapsed`](Self::elapsed)
+    /// minus the summed stage totals, saturating at zero.
+    ///
+    /// `None` when the batch ran on more than one thread: stage totals
+    /// are then summed across workers and can exceed the wall time, so
+    /// their difference measures nothing.
+    pub fn untimed(&self) -> Option<Duration> {
+        if self.threads > 1 {
+            return None;
+        }
+        let staged: u64 = self.timings.iter().map(|t| t.total_ns).sum();
+        Some(self.elapsed.saturating_sub(Duration::from_nanos(staged)))
+    }
+
     /// Machine-readable JSON rendering of the whole report.
     pub fn to_json(&self) -> String {
         self.to_json_value().render_pretty()
@@ -367,7 +381,9 @@ impl CompilationReport {
 
     /// Aligned per-stage timing table (the `--timings` view). Durations
     /// are microseconds; `total` is exact, quantiles are histogram
-    /// estimates. Empty when no stage recorded anything.
+    /// estimates. A final `untimed` row gives the wall time outside
+    /// every stage (see [`untimed`](Self::untimed); omitted on
+    /// multi-threaded batches). Empty when no stage recorded anything.
     pub fn render_timings_table(&self) -> String {
         if self.timings.is_empty() {
             return String::new();
@@ -376,7 +392,7 @@ impl CompilationReport {
             "stage", "calls", "total_us", "p50_us", "p95_us", "p99_us", "max_us",
         ];
         let us = |ns: u64| format!("{:.1}", ns as f64 / 1000.0);
-        let rows: Vec<[String; 7]> = self
+        let mut rows: Vec<[String; 7]> = self
             .timings
             .iter()
             .map(|t| {
@@ -391,6 +407,18 @@ impl CompilationReport {
                 ]
             })
             .collect();
+        if let Some(untimed) = self.untimed() {
+            let none = || "-".to_owned();
+            rows.push([
+                "untimed".to_owned(),
+                none(),
+                us(untimed.as_nanos() as u64),
+                none(),
+                none(),
+                none(),
+                none(),
+            ]);
+        }
         let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
         for row in &rows {
             for (w, cell) in widths.iter_mut().zip(row.iter()) {
@@ -651,10 +679,43 @@ mod tests {
         assert!(lines[1].starts_with('-'));
         assert!(lines[2].starts_with("parse"));
         assert!(lines[2].contains("4.0"), "total 4000 ns = 4.0 us:\n{table}");
+        // Two threads: stage totals are summed across workers, so no
+        // residual row.
+        assert!(!table.contains("untimed"), "{table}");
         // No timings, no table.
         let mut empty = sample_report();
         empty.timings.clear();
         assert_eq!(empty.render_timings_table(), "");
+    }
+
+    #[test]
+    fn untimed_is_wall_time_minus_the_stage_totals() {
+        let mut report = sample_report();
+        assert_eq!(report.untimed(), None, "summed across two workers");
+        report.threads = 1;
+        report.timings.push(StageTiming {
+            stage: "check",
+            calls: 1,
+            total_ns: 1_500,
+            max_ns: 1_500,
+            p50_ns: 1_500,
+            p95_ns: 1_500,
+            p99_ns: 1_500,
+        });
+        let staged: u64 = report.timings.iter().map(|t| t.total_ns).sum();
+        let untimed = report.untimed().expect("single-thread report");
+        assert_eq!(
+            untimed + Duration::from_nanos(staged),
+            report.elapsed,
+            "untimed + stages == elapsed"
+        );
+        let table = report.render_timings_table();
+        let last = table.lines().last().unwrap();
+        assert!(last.starts_with("untimed"), "{table}");
+        assert!(last.contains("9994.5"), "10 ms - 5.5 us:\n{table}");
+        // Stages that outrun the wall clock saturate at zero.
+        report.elapsed = Duration::from_nanos(staged - 1);
+        assert_eq!(report.untimed(), Some(Duration::ZERO));
     }
 
     #[test]

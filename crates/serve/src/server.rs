@@ -83,7 +83,9 @@ pub const DEFAULT_MAX_CONNECTIONS: usize = 1024;
 /// deadlines).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeOptions {
-    /// Shard workers to run; `0` means one per available core.
+    /// Shard workers to run; `0` means one per hardware thread (the
+    /// count [`raco_driver::pool::hardware_threads`] read once per
+    /// process).
     pub shards: usize,
     /// Bound on queued requests per shard; beyond it requests are shed
     /// with an `ok:false` `shed` response.
@@ -271,7 +273,7 @@ impl Server {
     pub fn with_options(config: PipelineConfig, options: ServeOptions) -> Self {
         let mut options = options;
         if options.shards == 0 {
-            options.shards = std::thread::available_parallelism().map_or(1, |n| n.get());
+            options.shards = raco_driver::pool::hardware_threads();
         }
         options.queue_depth = options.queue_depth.max(1);
         options.max_connections = options.max_connections.max(1);

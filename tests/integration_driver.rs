@@ -5,8 +5,9 @@
 
 use raco::agu::codegen::CodeGenerator;
 use raco::agu::sim;
+use raco::core::Optimizer;
 use raco::driver::{Parallelism, Pipeline, PipelineConfig};
-use raco::ir::{AguSpec, MemoryLayout, Trace};
+use raco::ir::{AguSpec, MachineDescription, MemoryLayout, Trace};
 
 fn pipeline_with(k: usize, m: u32, caching: bool, sequential: bool) -> Pipeline {
     let mut config = PipelineConfig::new(AguSpec::new(k, m).unwrap());
@@ -54,43 +55,62 @@ fn every_kernel_compiles_and_its_trace_matches_the_reference() {
 
 #[test]
 fn pipeline_programs_equal_directly_generated_programs() {
-    // The cached pipeline path must generate byte-identical programs to
-    // the seed's direct Optimizer + CodeGenerator path.
-    let agu = AguSpec::new(4, 1).unwrap();
-    let pipeline = pipeline_with(4, 1, true, true);
-    for kernel in raco::kernels::suite() {
-        let (report, program) = pipeline.compile_loop(kernel.spec());
-        assert!(
-            report.succeeded(),
-            "{}: {:?}",
-            kernel.name(),
-            report.failure
-        );
-        let program = program.expect("successful loops carry programs");
-
-        let direct_alloc = raco::core::Optimizer::new(agu)
-            .allocate_loop(kernel.spec())
-            .expect("kernels fit the machine");
-        let layout = MemoryLayout::contiguous(kernel.spec(), 0x1000, 0x400);
-        let direct = CodeGenerator::new(agu)
-            .generate(kernel.spec(), &direct_alloc, &layout)
-            .expect("codegen succeeds");
-        assert_eq!(
-            program.to_string(),
-            direct.to_string(),
-            "{}: cached pipeline and direct path diverge",
-            kernel.name()
-        );
-        // And the program verifies against an independently captured,
-        // longer trace than the pipeline used.
-        let trace = Trace::capture(kernel.spec(), &layout, 40);
-        let sim_report = sim::run(&program, &trace, &agu).expect("verifies");
-        assert_eq!(
-            sim_report.explicit_updates_per_iteration(),
-            report.cost,
-            "{}",
-            kernel.name()
-        );
+    // On every built-in machine — modify-register machines included,
+    // where a cold cache miss finishes the curve's kept Phase-2 reports
+    // — a fresh cached pipeline, an uncached pipeline, a cached pipeline
+    // shared by the whole suite (curve hits followed by allocation
+    // misses) and the direct `allocate_loop` + `CodeGenerator` path must
+    // generate byte-identical programs at equal costs.
+    for &machine in MachineDescription::builtin_names() {
+        let agu = *MachineDescription::builtin(machine).unwrap().spec();
+        let config = |caching: bool| {
+            let mut config = PipelineConfig::new(agu);
+            config.caching = caching;
+            config.parallelism = Parallelism::Sequential;
+            config
+        };
+        let uncached = Pipeline::with_config(config(false));
+        let shared = Pipeline::with_config(config(true));
+        let optimizer = Optimizer::with_options(agu, config(true).effective_options());
+        for kernel in raco::kernels::suite() {
+            let label = format!("{machine}/{}", kernel.name());
+            let direct_alloc = optimizer
+                .allocate_loop(kernel.spec())
+                .expect("kernels fit the machine");
+            let layout = MemoryLayout::contiguous(kernel.spec(), 0x1000, 0x400);
+            let direct = CodeGenerator::new(agu)
+                .generate(kernel.spec(), &direct_alloc, &layout)
+                .expect("codegen succeeds");
+            let cold = Pipeline::with_config(config(true));
+            for (path, pipeline) in [
+                ("cold", &cold),
+                ("uncached", &uncached),
+                ("shared", &shared),
+            ] {
+                let (report, program) = pipeline.compile_loop(kernel.spec());
+                assert!(report.succeeded(), "{label} {path}: {:?}", report.failure);
+                let program = program.expect("successful loops carry programs");
+                assert_eq!(
+                    program.to_string(),
+                    direct.to_string(),
+                    "{label}: {path} pipeline and direct path diverge"
+                );
+                assert_eq!(
+                    report.cost,
+                    u64::from(direct_alloc.total_cost()),
+                    "{label} {path}"
+                );
+            }
+            // And the program verifies against an independently
+            // captured, longer trace than the pipeline used.
+            let trace = Trace::capture(kernel.spec(), &layout, 40);
+            let sim_report = sim::run(&direct, &trace, &agu).expect("verifies");
+            assert_eq!(
+                sim_report.explicit_updates_per_iteration(),
+                u64::from(direct_alloc.total_cost()),
+                "{label}"
+            );
+        }
     }
 }
 
@@ -241,7 +261,7 @@ fn fixture(name: &str) -> String {
 const CLASSIC_MACHINES: [&str; 4] = ["paper", "tms320c2x", "dsp56k", "adsp210x"];
 
 fn kernel_report_for(machine: &str) -> raco::driver::CompilationReport {
-    let spec = *raco::ir::MachineDescription::builtin(machine)
+    let spec = *MachineDescription::builtin(machine)
         .unwrap_or_else(|| panic!("`{machine}` is a built-in"))
         .spec();
     let mut config = PipelineConfig::new(spec);

@@ -14,6 +14,9 @@
 //! * **zero-MR identity** — on machines without modify registers the
 //!   allocation is byte-identical to the pre-change model (the paper's
 //!   Figure 1 reproduction cannot drift);
+//! * **sweep reuse** — a register sweep reproduces `cost_curve`, and
+//!   finishing it at any register count reproduces
+//!   `allocate_with_registers`;
 //! * **cache-key soundness** — machines differing only in MR count
 //!   never share allocation-cache entries, in memory or through
 //!   snapshots, and pre-bump snapshots are rejected cleanly.
@@ -25,7 +28,8 @@ use raco::agu::sim;
 use raco::core::{Optimizer, OptimizerOptions};
 use raco::driver::{persist, AllocationCache, Pipeline, PipelineConfig};
 use raco::ir::{
-    AccessKind, AccessPattern, AguSpec, CanonicalPattern, LoopSpec, MemoryLayout, Trace,
+    AccessKind, AccessPattern, AguSpec, CanonicalPattern, CostTable, LoopSpec, MemoryLayout, Trace,
+    UpdateRange,
 };
 
 /// Strategy: a random access pattern (offsets, stride, modify range).
@@ -177,6 +181,47 @@ proptest! {
         let pre_change = Optimizer::with_options(agu, OptimizerOptions::default())
             .allocate(&pattern);
         prop_assert_eq!(via_machine, pre_change);
+    }
+
+    /// A sweep is the curve plus what every allocation reuses: its
+    /// curve equals `cost_curve`, and finishing it at any register
+    /// count — past the swept counts too, where it falls back to one
+    /// Phase-2 run — equals `allocate_with_registers`. Asymmetric
+    /// windows and non-unit cost tables included.
+    #[test]
+    fn sweeps_reproduce_curves_and_allocations(
+        (offsets, stride, _) in pattern(),
+        range in prop_oneof![
+            Just(UpdateRange::symmetric(0)),
+            Just(UpdateRange::symmetric(1)),
+            Just(UpdateRange::symmetric(2)),
+            Just(UpdateRange::new(0, 1).unwrap()),
+            Just(UpdateRange::new(-1, 3).unwrap()),
+        ],
+        costs in prop_oneof![Just(CostTable::UNIT), Just(CostTable::new(1, 2, 2).unwrap())],
+        k in 1usize..=4,
+        mr in 0usize..=3,
+    ) {
+        let pattern = AccessPattern::from_offsets(&offsets, stride);
+        let agu = AguSpec::new(k, 1)
+            .unwrap()
+            .with_update_range(range)
+            .with_cost_table(costs)
+            .with_modify_registers(mr);
+        let optimizer = Optimizer::with_options(agu, PipelineConfig::new(agu).effective_options());
+        let sweep = optimizer.sweep(&pattern, k);
+        prop_assert_eq!(
+            sweep.curve().to_vec(),
+            optimizer.cost_curve(&pattern, k),
+            "{:?} offsets {:?} stride {}", agu, &offsets, stride
+        );
+        for j in 1..=k + 1 {
+            prop_assert_eq!(
+                optimizer.sweep(&pattern, k).into_allocation(j),
+                optimizer.allocate_with_registers(&pattern, j),
+                "j={} {:?} offsets {:?} stride {}", j, agu, &offsets, stride
+            );
+        }
     }
 }
 
