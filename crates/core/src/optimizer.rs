@@ -145,13 +145,6 @@ impl Optimizer {
         self
     }
 
-    /// Replaces the Phase-1 branch-and-bound options (builder style).
-    #[must_use]
-    pub fn bb_options(mut self, bb: BbOptions) -> Self {
-        self.options.bb = bb;
-        self
-    }
-
     /// The machine this optimizer targets.
     pub fn agu(&self) -> &AguSpec {
         &self.agu
@@ -728,14 +721,9 @@ mod tests {
     fn builder_options_round_trip() {
         let opt = Optimizer::new(AguSpec::new(2, 1).unwrap())
             .strategy(MergeStrategy::FirstPair)
-            .cost_model(CostModel::paper_literal())
-            .bb_options(BbOptions {
-                node_limit: 1000,
-                memoize: false,
-            });
+            .cost_model(CostModel::paper_literal());
         assert_eq!(opt.options().strategy, MergeStrategy::FirstPair);
         assert_eq!(opt.options().cost_model, CostModel::paper_literal());
-        assert_eq!(opt.options().bb.node_limit, 1000);
         assert_eq!(opt.agu().address_registers(), 2);
     }
 

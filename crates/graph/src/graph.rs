@@ -95,24 +95,6 @@ impl AccessGraph {
         i < j && i < self.node_count() && j < self.node_count() && self.dm.free_intra(i, j)
     }
 
-    /// `true` if `(from, to)` is a zero-cost inter-iteration edge.
-    pub fn has_inter_edge(&self, from: usize, to: usize) -> bool {
-        from < self.node_count() && to < self.node_count() && self.dm.free_wrap(from, to)
-    }
-
-    /// The intra-iteration successors of node `i` (nodes `j > i` reachable
-    /// by one free step).
-    pub fn intra_successors(&self, i: usize) -> Vec<usize> {
-        ((i + 1)..self.node_count())
-            .filter(|&j| self.dm.free_intra(i, j))
-            .collect()
-    }
-
-    /// Out-degree of node `i` in the intra-iteration graph.
-    pub fn intra_out_degree(&self, i: usize) -> usize {
-        self.intra.iter().filter(|&&(a, _)| a == i).count()
-    }
-
     /// Renders the graph in Graphviz DOT format: solid arcs for
     /// intra-iteration edges, dashed arcs for inter-iteration edges, nodes
     /// labelled `a_k` with their offsets (compare Figure 1 of the paper).
@@ -184,26 +166,21 @@ mod tests {
         }
     }
 
+    fn has_inter_edge(g: &AccessGraph, from: usize, to: usize) -> bool {
+        g.inter_edges().contains(&(from, to))
+    }
+
     #[test]
     fn inter_edges_include_wraps_used_by_singletons() {
         let g = figure1();
         // Self wrap: offset o → o + stride, distance 1 → free for all 7.
         for i in 0..7 {
-            assert!(g.has_inter_edge(i, i));
+            assert!(has_inter_edge(&g, i, i));
         }
         // a_3 (offset 2) closes onto a_1 (offset 1): 1 + 1 - 2 = 0 → free.
-        assert!(g.has_inter_edge(2, 0));
+        assert!(has_inter_edge(&g, 2, 0));
         // a_7 (offset -2) to a_1 (offset 1): 4 → not free.
-        assert!(!g.has_inter_edge(6, 0));
-    }
-
-    #[test]
-    fn successors_and_degrees_agree_with_edges() {
-        let g = figure1();
-        assert_eq!(g.intra_successors(0), vec![1, 2, 4, 5]);
-        assert_eq!(g.intra_out_degree(0), 4);
-        assert_eq!(g.intra_successors(6), Vec::<usize>::new());
-        assert_eq!(g.intra_out_degree(6), 0);
+        assert!(!has_inter_edge(&g, 6, 0));
     }
 
     #[test]
@@ -211,7 +188,6 @@ mod tests {
         let g = figure1();
         assert!(!g.has_intra_edge(5, 5));
         assert!(!g.has_intra_edge(3, 99));
-        assert!(!g.has_inter_edge(99, 0));
     }
 
     #[test]

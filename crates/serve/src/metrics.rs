@@ -56,7 +56,8 @@ pub(crate) struct ServiceMetrics {
     ///
     /// [`total_requests`]: Self::total_requests
     shed_connections: AtomicU64,
-    /// Requests refused because their shard's queue was full.
+    /// Requests refused because their shard already had its bound of
+    /// waiters.
     shed_queue: AtomicU64,
     /// Connections closed for not completing a request within the read
     /// deadline.
@@ -92,7 +93,7 @@ impl ServiceMetrics {
         self.shed_connections.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one request refused by a full shard queue.
+    /// Counts one request refused by its shard's waiter bound.
     pub(crate) fn note_shed_queue(&self) {
         self.shed_queue.fetch_add(1, Ordering::Relaxed);
     }

@@ -57,12 +57,13 @@
 //!
 //! Operational failures of the serve tier additionally carry a
 //! machine-readable `error_kind`: `busy` (the `--max-connections`
-//! bound refused the connection), `shed` (the routed shard's queue was
-//! full), `read_deadline` (no complete request arrived within
-//! `--read-deadline`; the connection is then closed) and
-//! `compute_deadline` (the compile outran `--compute-deadline`; the
-//! connection survives and the shard finishes warming its cache in the
-//! background, so a retry usually hits).
+//! bound refused the connection), `shed` (the routed shard already had
+//! `--queue-depth` requests waiting), `read_deadline` (no complete
+//! request arrived within `--read-deadline`; the connection is then
+//! closed) and `compute_deadline` (the wait for the shard plus the
+//! compile outran `--compute-deadline`; the connection survives, and a
+//! compile that ran has warmed the shard's cache, so a retry usually
+//! hits).
 //!
 //! Compile reports carry the full machine (`address_registers`,
 //! `modify_range`, `modify_registers`) and, per loop, the explicit
@@ -431,11 +432,6 @@ pub fn report_line(id: &Option<Json>, report: &CompilationReport) -> String {
     )
 }
 
-/// A success response carrying cache statistics.
-pub fn stats_line(id: &Option<Json>, stats: &CacheStats) -> String {
-    envelope(id, true, vec![("stats".to_owned(), stats_json(stats))])
-}
-
 /// A success response whose payload fields are supplied by the caller
 /// (the server assembles the extended `stats` and `metrics` payloads).
 pub fn payload_line(id: &Option<Json>, fields: Vec<(String, Json)>) -> String {
@@ -457,8 +453,9 @@ pub fn error_line(id: &Option<Json>, message: &str) -> String {
 ///
 /// The serve tier names its operational failures so clients can react
 /// without parsing prose: `busy` (connection cap reached), `shed`
-/// (shard queue full), `read_deadline` (no complete request in time)
-/// and `compute_deadline` (the compile outran its budget).
+/// (too many requests waiting for the shard), `read_deadline` (no
+/// complete request in time) and `compute_deadline` (the shard wait
+/// plus the compile outran its budget).
 pub fn error_kind_line(id: &Option<Json>, kind: &str, message: &str) -> String {
     envelope(
         id,
@@ -735,7 +732,10 @@ mod tests {
     fn response_lines_are_single_line_json() {
         let stats = CacheStats::default();
         for line in [
-            stats_line(&Some(Json::Int(1)), &stats),
+            payload_line(
+                &Some(Json::Int(1)),
+                vec![("stats".to_owned(), stats_json(&stats))],
+            ),
             ack_line(&None, "pong"),
             error_line(&Some(Json::str("x")), "boom\nboom"),
         ] {

@@ -1,12 +1,15 @@
 //! The service loop: shard-per-core pipelines behind stdio or TCP.
 //!
 //! A [`Server`] owns a set of shards (the private `shard` module), each
-//! with its own warm [`Pipeline`] and worker thread. The connection
-//! thread parses and lowers each compile once, routes it by a
-//! consistent hash of its *canonical* cache key — so every repetition
-//! of a shape lands on the shard that already paid for its allocation —
-//! and hands the lowered loops to that shard's queue. Every shard count
-//! runs this one path; a single shard is just a set of one.
+//! with its own warm [`Pipeline`] and a turn that lets one compile run
+//! on it at a time. The connection thread parses and lowers each
+//! compile once, routes it by a consistent hash of its *canonical*
+//! cache key — so every repetition of a shape lands on the shard that
+//! already paid for its allocation — then takes that shard's turn and
+//! compiles the lowered loops itself. No request crosses threads, and
+//! the server runs no thread of its own besides the TCP accept loop and
+//! its connection threads. Every shard count runs this one path; a
+//! single shard is just a set of one.
 //!
 //! Transports:
 //!
@@ -23,16 +26,16 @@
 //! `busy` error and a clean close), a per-request read deadline (a
 //! client with no complete request in time is answered with a
 //! `read_deadline` error and reaped — the slow-loris fix), a compute
-//! deadline (a compile that outruns it gets a `compute_deadline` error
-//! while the shard finishes warming its cache in the background), and
-//! bounded shard queues (a full queue sheds the request with a `shed`
+//! deadline (a request whose budget ran out before or during its
+//! compile gets a `compute_deadline` error; a compile that ran has
+//! warmed its shard's cache all the same), and a bound on the requests
+//! waiting for a shard (an arrival beyond it is shed with a `shed`
 //! error instead of queueing unbounded work).
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use raco_driver::json::Json;
@@ -71,7 +74,7 @@ const ACCEPT_BACKOFF_CEIL: Duration = Duration::from_millis(1);
 /// memory by never sending a newline.
 pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
-/// Default bound on queued requests per shard.
+/// Default bound on the requests waiting for one shard.
 pub const DEFAULT_QUEUE_DEPTH: usize = 256;
 
 /// Default bound on concurrently served TCP connections.
@@ -83,24 +86,29 @@ pub const DEFAULT_MAX_CONNECTIONS: usize = 1024;
 /// deadlines).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeOptions {
-    /// Shard workers to run; `0` means one per hardware thread (the
-    /// count [`raco_driver::pool::hardware_threads`] read once per
-    /// process).
+    /// Shards to split the cache into, each compiling one request at a
+    /// time on the connection thread that routed it; `0` means one per
+    /// hardware thread (the count
+    /// [`raco_driver::pool::hardware_threads`] read once per process).
     pub shards: usize,
-    /// Bound on queued requests per shard; beyond it requests are shed
-    /// with an `ok:false` `shed` response.
+    /// Bound on the requests *waiting* for one shard, not counting the
+    /// one compiling on it; an arrival that finds this many waiting is
+    /// shed with an `ok:false` `shed` response.
     pub queue_depth: usize,
     /// A TCP connection with no *complete* request line within this
     /// window is answered with a `read_deadline` error and closed
     /// (slow-loris reaping). `None` disables reaping.
     pub read_deadline: Option<Duration>,
-    /// A compile outrunning this budget gets a `compute_deadline`
-    /// error; the connection survives and the shard finishes the
-    /// compile in the background (warming its cache for a retry). The
-    /// budget starts when the request is queued on its shard, so it
-    /// covers queue wait and shard compute, not parsing (which runs
-    /// earlier, on the connection thread). `None` disables the
-    /// deadline.
+    /// A request outrunning this budget gets a `compute_deadline`
+    /// error on a live connection. The budget starts when the request
+    /// arrives at its shard, so it covers the wait for the shard's turn
+    /// and the compile, not parsing (which runs earlier). It is checked
+    /// twice: a request whose budget ran out while it waited is answered
+    /// without compiling, and a compile that finishes late is answered
+    /// with the error too, though its result has warmed the shard's
+    /// cache for a retry. A compile is never interrupted, so a waiter is
+    /// released no earlier than the compile ahead of it finishes.
+    /// `None` disables the deadline.
     pub compute_deadline: Option<Duration>,
     /// Bound on concurrently served TCP connections; over-limit
     /// connects get an `ok:false` `busy` response and a clean close.
@@ -239,11 +247,9 @@ pub struct Reply {
 
 /// Why a routed compile produced no report.
 enum ComputeError {
-    /// The shard's worker dropped the reply (it is gone).
-    Unavailable,
-    /// The routed shard's queue was full.
+    /// The routed shard already had its bound of waiters.
     Shed(ShedError),
-    /// The compile outran the compute deadline.
+    /// The request outran the compute deadline.
     Deadline(Duration),
 }
 
@@ -268,8 +274,10 @@ impl Server {
         Self::with_options(config, ServeOptions::default())
     }
 
-    /// A server with explicit operational limits: shard count, queue
-    /// depth, read/compute deadlines and the connection cap.
+    /// A server with explicit operational limits: shard count, waiter
+    /// bound, read/compute deadlines and the connection cap. It spawns
+    /// no thread: compiles run on the threads that call
+    /// [`handle_line`](Self::handle_line).
     pub fn with_options(config: PipelineConfig, options: ServeOptions) -> Self {
         let mut options = options;
         if options.shards == 0 {
@@ -387,43 +395,32 @@ impl Server {
         reply
     }
 
-    /// Queues one parsed batch on the shard `key` routes to and waits
-    /// for its report, up to the compute deadline.
+    /// Compiles one parsed batch on the shard `key` routes to, on this
+    /// thread, once it has the shard's turn; the compute deadline is
+    /// checked before the compile and after it.
     fn execute(
         &self,
         key: u64,
-        config: PipelineConfig,
+        config: &PipelineConfig,
         batch: ParsedBatch,
     ) -> Result<CompilationReport, ComputeError> {
-        let deadline = self.options.compute_deadline;
-        let deadline = deadline.map(|budget| (budget, Instant::now() + budget));
-        let (tx, rx) = mpsc::sync_channel(1);
-        self.shards
-            .route(key)
-            .submit(Box::new(move |pipeline| {
-                // The receiver may have walked away on a compute
-                // deadline; the compile still warmed the shard cache.
-                let _ = tx.send(pipeline.compile_batch_with(&config, batch));
-            }))
-            .map_err(ComputeError::Shed)?;
-        let Some((budget, due)) = deadline else {
-            return rx.recv().map_err(|_| ComputeError::Unavailable);
+        let arrived = Instant::now();
+        let late = || match self.options.compute_deadline {
+            Some(budget) if arrived.elapsed() > budget => Err(ComputeError::Deadline(budget)),
+            _ => Ok(()),
         };
-        match rx.recv_timeout(budget) {
-            // The budget runs from the submit: a report that is already
-            // waiting when this thread gets to look (the worker can
-            // preempt its waker) may still have missed the deadline.
-            Ok(report) if Instant::now() <= due => Ok(report),
-            Ok(_) | Err(mpsc::RecvTimeoutError::Timeout) => Err(ComputeError::Deadline(budget)),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(ComputeError::Unavailable),
-        }
+        let shard = self.shards.route(key);
+        let _turn = shard.turn().map_err(ComputeError::Shed)?;
+        late()?;
+        let report = shard.compile(config, batch);
+        late()?;
+        Ok(report)
     }
 
     /// Renders a routed compile's failure, counting sheds and deadline
     /// hits into the service metrics.
     fn compute_error_line(&self, id: &Option<Json>, error: &ComputeError) -> String {
         match error {
-            ComputeError::Unavailable => protocol::error_line(id, "shard worker unavailable"),
             ComputeError::Shed(shed) => {
                 self.metrics.note_shed_queue();
                 protocol::error_kind_line(
@@ -441,8 +438,8 @@ impl Server {
                     id,
                     "compute_deadline",
                     &format!(
-                        "compile exceeded the {} ms compute deadline; the shard keeps \
-                         warming its cache in the background, so a retry may hit",
+                        "request exceeded the {} ms compute deadline; a compile that ran \
+                         has warmed the shard's cache, so a retry may hit",
                         deadline.as_millis()
                     ),
                 )
@@ -509,7 +506,7 @@ impl Server {
             reply(protocol::report_line(&id, &report))
         };
         let run = |key: u64, config: PipelineConfig, batch: ParsedBatch| match self
-            .execute(key, config, batch)
+            .execute(key, &config, batch)
         {
             Ok(report) => report_reply(report),
             Err(e) => reply(self.compute_error_line(&id, &e)),
@@ -1266,6 +1263,117 @@ mod tests {
             .and_then(|m| m.get("deadlines"))
             .expect("deadline counters");
         assert!(deadlines.get("compute").and_then(Json::as_u64).unwrap() >= 1);
+    }
+
+    const COMPILE: &str = r#"{"op":"compile","source":"for (i = 0; i < 64; i++) { y[i] = x[i-3] + x[i] + x[i+3]; }"}"#;
+
+    fn one_shard(options: ServeOptions) -> Server {
+        Server::with_options(
+            PipelineConfig::new(AguSpec::new(4, 1).unwrap()),
+            ServeOptions {
+                shards: 1,
+                ..options
+            },
+        )
+    }
+
+    /// Spins until `count` requests wait for `shard`'s turn.
+    fn await_waiters(shard: &shard::Shard, count: usize) {
+        let started = Instant::now();
+        while shard.waiters.load(Ordering::Relaxed) < count {
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "waiters never arrived"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    fn error_kind(json: &Json) -> Option<&str> {
+        json.get("error_kind").and_then(Json::as_str)
+    }
+
+    #[test]
+    fn arrivals_beyond_the_waiter_bound_are_shed() {
+        let server = one_shard(ServeOptions {
+            queue_depth: 2,
+            ..ServeOptions::default()
+        });
+        let shard = &server.shards.shards()[0];
+        std::thread::scope(|scope| {
+            let turn = shard.turn().unwrap();
+            let waiting: Vec<_> = (0..2)
+                .map(|_| scope.spawn(|| parsed(&server.handle_line(COMPILE))))
+                .collect();
+            await_waiters(shard, 2);
+            assert_eq!(shard.turn().unwrap_err(), ShedError { shard: 0, depth: 2 });
+            let shed = parsed(&server.handle_line(COMPILE));
+            assert_eq!(error_kind(&shed), Some("shed"));
+            assert_eq!(
+                shed.get("error").and_then(Json::as_str),
+                Some("shard 0 queue full (depth 2); request shed — retry with backoff")
+            );
+            drop(turn);
+            for waiter in waiting {
+                let reply = waiter.join().unwrap();
+                assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+            }
+        });
+        assert_eq!(shard.waiters.load(Ordering::Relaxed), 0);
+        assert_eq!(shard.executed.load(Ordering::Relaxed), 2);
+        let metrics = parsed(&server.handle_line(r#"{"op":"metrics"}"#));
+        let shed = metrics.get("metrics").and_then(|m| m.get("shed")).unwrap();
+        assert_eq!(shed.get("queue").and_then(Json::as_u64), Some(1));
+    }
+
+    #[test]
+    fn a_budget_spent_waiting_for_the_turn_skips_the_compile() {
+        let server = one_shard(ServeOptions {
+            compute_deadline: Some(Duration::from_millis(50)),
+            ..ServeOptions::default()
+        });
+        let shard = &server.shards.shards()[0];
+        let reply = std::thread::scope(|scope| {
+            let turn = shard.turn().unwrap();
+            let waiter = scope.spawn(|| parsed(&server.handle_line(COMPILE)));
+            await_waiters(shard, 1);
+            std::thread::sleep(Duration::from_millis(100));
+            drop(turn);
+            waiter.join().unwrap()
+        });
+        assert_eq!(error_kind(&reply), Some("compute_deadline"), "{reply:?}");
+        assert_eq!(shard.executed.load(Ordering::Relaxed), 0, "no compile ran");
+        assert_eq!(server.cache_stats().allocation_misses, 0);
+    }
+
+    #[test]
+    fn a_compile_that_finishes_late_still_warms_the_cache() {
+        // Simulating 2^20 iterations takes tens of milliseconds on every
+        // compile, far beyond the budget, while an uncontended turn is
+        // taken within microseconds of arrival. A rare stall in that
+        // moment skips the compile instead, and the round is run again
+        // on a fresh server.
+        let request = r#"{"op":"compile","iterations":1048576,
+            "source":"for (i = 0; i < 64; i++) { y[i] = x[i-3] + x[i] + x[i+3]; }"}"#;
+        for _ in 0..5 {
+            let server = one_shard(ServeOptions {
+                compute_deadline: Some(Duration::from_millis(10)),
+                ..ServeOptions::default()
+            });
+            let late = parsed(&server.handle_line(request));
+            assert_eq!(error_kind(&late), Some("compute_deadline"), "{late:?}");
+            if server.shards.shards()[0].executed.load(Ordering::Relaxed) == 0 {
+                continue;
+            }
+            let cold = server.cache_stats();
+            assert!(cold.allocation_misses > 0);
+            server.handle_line(request);
+            let retried = server.cache_stats();
+            assert_eq!(retried.allocation_misses, cold.allocation_misses);
+            assert!(retried.allocation_hits > cold.allocation_hits);
+            return;
+        }
+        panic!("no compile took its turn within the budget in five rounds");
     }
 
     #[test]

@@ -1,74 +1,66 @@
-//! Shard workers: per-core pipelines behind a consistent-hash router.
+//! Shards: per-core pipelines behind a consistent-hash router.
 //!
 //! The serve tier splits one process-wide cache into N independent
 //! shards, each owning its own [`Pipeline`] (and therefore its own
-//! allocation cache) and a single worker thread. Requests are routed
-//! by a consistent hash of the *canonical* cache key — the same
-//! shift-normalized [`CanonicalPattern`] the allocation cache keys on,
-//! computed from the loops the connection thread already lowered — so
-//! every occurrence of a shape lands on the same shard: shard caches
-//! stay hot and mutually disjoint instead of each shard slowly
-//! re-deriving the whole working set.
+//! allocation cache) and a *turn*: a mutex that lets one compile run on
+//! the shard at a time. Requests are routed by a consistent hash of the
+//! *canonical* cache key — the same shift-normalized
+//! [`CanonicalPattern`] the allocation cache keys on, computed from the
+//! loops the connection thread already lowered — so every occurrence of
+//! a shape lands on the same shard: shard caches stay hot and mutually
+//! disjoint instead of each shard slowly re-deriving the whole working
+//! set.
 //!
-//! Every request runs the same way, whatever the shard count: through
-//! its shard's bounded queue, with the connection thread waiting for
-//! the reply. A full queue is load shedding, not backpressure: the
-//! submitter gets [`ShedError`] immediately and answers the client with
-//! an `ok:false` shed response, keeping tail latency bounded when
-//! offered load exceeds capacity. Compute deadlines ride on the reply
-//! channel: the connection thread waits on
-//! [`std::sync::mpsc::Receiver::recv_timeout`] and walks away on expiry
-//! — the worker finishes the compile anyway (warming the shard cache
-//! for the retry) and its send lands in a dropped channel.
+//! A shard is a lock, not a thread. The connection thread that routed a
+//! request takes the shard's turn and compiles on the shard's pipeline
+//! itself, so a request never crosses threads. The pipeline is `Sync`
+//! and stays outside the turn: `stats`, `metrics`, `clear_cache` and
+//! `save_cache` read it without waiting behind a compile. The turn
+//! bounds its waiters, not the compile holding it: an arrival that
+//! finds `depth` requests already waiting gets [`ShedError`] at once and
+//! answers the client with an `ok:false` shed response, keeping tail
+//! latency bounded when offered load exceeds capacity.
 //!
 //! [`CanonicalPattern`]: raco_ir::CanonicalPattern
 
-use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use raco_driver::{CacheStats, Pipeline, PipelineConfig};
+use raco_driver::{CacheStats, CompilationReport, ParsedBatch, Pipeline, PipelineConfig};
 use raco_ir::{CanonicalPattern, LoopSpec};
 use raco_obs::Histogram;
 
-/// How long an idle worker sleeps between stop-flag checks.
-const WORKER_POLL: Duration = Duration::from_millis(50);
-
-/// One unit of shard work: a closure run against the shard's pipeline.
-/// The closure owns its inputs and its reply channel, so the worker
-/// thread needs no lifetime tie to the submitting connection.
-pub(crate) type Job = Box<dyn FnOnce(&Pipeline) + Send>;
-
-/// A submit that found the shard's queue full. Carries what the error
-/// response needs to say.
+/// An arrival that found its shard's waiter bound reached. Carries what
+/// the error response needs to say.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ShedError {
     /// Which shard refused.
     pub(crate) shard: usize,
-    /// The queue bound that was hit.
+    /// The waiter bound that was hit.
     pub(crate) depth: usize,
 }
 
-/// One shard: a pipeline (with its own cache), a bounded job queue and
-/// the counters the `metrics` op reports per shard.
+/// One shard: a pipeline (with its own cache), the turn that serializes
+/// its compiles, and the counters the `metrics` op reports per shard.
 pub(crate) struct Shard {
     /// Position in the shard set (stable across the server's life).
     pub(crate) index: usize,
     /// The shard's own pipeline; its allocation cache is the shard's
     /// slice of the working set.
     pub(crate) pipeline: Pipeline,
-    /// Requests executed by this shard's worker.
+    /// Requests compiled on this shard.
     pub(crate) executed: AtomicU64,
     /// Per-shard compute latency (nanoseconds); the `metrics` op merges
     /// every shard's histogram into the aggregate via
     /// [`Histogram::merge_snapshot`].
     pub(crate) latency: Histogram,
-    queue: Mutex<VecDeque<Job>>,
-    ready: Condvar,
-    stop: AtomicBool,
+    /// Requests waiting for the turn, not counting the one holding it.
+    /// A count only: it publishes no other data.
+    pub(crate) waiters: AtomicUsize,
+    /// Held by the compile running on this shard. It guards no data,
+    /// only the right to compile.
+    turn: Mutex<()>,
     depth: usize,
 }
 
@@ -89,106 +81,66 @@ impl Shard {
             pipeline,
             executed: AtomicU64::new(0),
             latency: Histogram::new(),
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            stop: AtomicBool::new(false),
+            waiters: AtomicUsize::new(0),
+            turn: Mutex::new(()),
             depth,
         }
     }
 
-    /// Enqueues one job, failing immediately when the queue is at its
-    /// bound — the caller sheds the request rather than waiting.
-    pub(crate) fn submit(&self, job: Job) -> Result<(), ShedError> {
-        let mut queue = self.queue.lock().expect("shard queue poisoned");
-        if queue.len() >= self.depth {
-            return Err(ShedError {
+    /// Waits for this shard's turn. Fails at once, without waiting, when
+    /// `depth` requests already wait — the caller sheds the request.
+    pub(crate) fn turn(&self) -> Result<MutexGuard<'_, ()>, ShedError> {
+        self.waiters
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |waiting| {
+                (waiting < self.depth).then_some(waiting + 1)
+            })
+            .map_err(|_| ShedError {
                 shard: self.index,
                 depth: self.depth,
-            });
-        }
-        queue.push_back(job);
-        drop(queue);
-        self.ready.notify_one();
-        Ok(())
+            })?;
+        // A compile that panicked poisons the turn; it guards no data,
+        // so the next request may take it all the same.
+        let turn = self.turn.lock().unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
+        Ok(turn)
     }
 
-    fn worker_loop(self: &Arc<Self>) {
-        loop {
-            let job = {
-                let mut queue = self.queue.lock().expect("shard queue poisoned");
-                loop {
-                    if let Some(job) = queue.pop_front() {
-                        break Some(job);
-                    }
-                    if self.stop.load(Ordering::Acquire) {
-                        break None;
-                    }
-                    let (guard, _timeout) = self
-                        .ready
-                        .wait_timeout(queue, WORKER_POLL)
-                        .expect("shard queue poisoned");
-                    queue = guard;
-                }
-            };
-            match job {
-                Some(job) => {
-                    // Counted *before* the job runs: a job's reply can
-                    // release its client before the job closure fully
-                    // unwinds, and a metrics read racing that window
-                    // must still see the request.
-                    self.executed.fetch_add(1, Ordering::Relaxed);
-                    self.latency.time(|| job(&self.pipeline));
-                }
-                None => return,
-            }
-        }
+    /// Compiles one batch on this shard's pipeline, counting and timing
+    /// it. The caller holds the shard's [`turn`](Self::turn).
+    pub(crate) fn compile(&self, config: &PipelineConfig, batch: ParsedBatch) -> CompilationReport {
+        self.executed.fetch_add(1, Ordering::Relaxed);
+        self.latency
+            .time(|| self.pipeline.compile_batch_with(config, batch))
     }
 }
 
-/// The full shard set plus its worker threads, one per shard.
+/// The full shard set.
 #[derive(Debug)]
 pub(crate) struct ShardSet {
-    shards: Vec<Arc<Shard>>,
-    workers: Vec<JoinHandle<()>>,
+    shards: Vec<Shard>,
 }
 
 impl ShardSet {
     /// Builds `count` shards, each with its own pipeline cloned from
-    /// `config` and its own worker thread.
+    /// `config` and a turn admitting at most `depth` waiters.
     pub(crate) fn new(config: &PipelineConfig, count: usize, depth: usize) -> Self {
         assert!(count >= 1, "a server needs at least one shard");
-        let shards: Vec<Arc<Shard>> = (0..count)
-            .map(|index| {
-                Arc::new(Shard::new(
-                    index,
-                    Pipeline::with_config(config.clone()),
-                    depth,
-                ))
-            })
+        let shards = (0..count)
+            .map(|index| Shard::new(index, Pipeline::with_config(config.clone()), depth))
             .collect();
-        let workers = shards
-            .iter()
-            .map(|shard| {
-                let shard = Arc::clone(shard);
-                std::thread::Builder::new()
-                    .name(format!("raco-shard-{}", shard.index))
-                    .spawn(move || shard.worker_loop())
-                    .expect("spawn shard worker")
-            })
-            .collect();
-        ShardSet { shards, workers }
+        ShardSet { shards }
     }
 
     pub(crate) fn len(&self) -> usize {
         self.shards.len()
     }
 
-    pub(crate) fn shards(&self) -> &[Arc<Shard>] {
+    pub(crate) fn shards(&self) -> &[Shard] {
         &self.shards
     }
 
     /// The shard a route key consistently maps to.
-    pub(crate) fn route(&self, key: u64) -> &Arc<Shard> {
+    pub(crate) fn route(&self, key: u64) -> &Shard {
         &self.shards[jump_hash(key, self.shards.len())]
     }
 
@@ -205,20 +157,6 @@ impl ShardSet {
             total.absorb(&shard.pipeline.cache_stats());
         }
         total
-    }
-}
-
-impl Drop for ShardSet {
-    fn drop(&mut self) {
-        for shard in &self.shards {
-            shard.stop.store(true, Ordering::Release);
-        }
-        for shard in &self.shards {
-            shard.ready.notify_one();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
     }
 }
 
@@ -295,9 +233,7 @@ pub(crate) fn kernels_route_key(kernel: Option<&str>, config: &PipelineConfig) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use raco_driver::ParsedBatch;
     use raco_ir::AguSpec;
-    use std::sync::mpsc;
 
     fn config() -> PipelineConfig {
         PipelineConfig::new(AguSpec::new(4, 1).unwrap())
@@ -371,49 +307,19 @@ mod tests {
     }
 
     #[test]
-    fn submit_sheds_when_the_queue_is_full() {
+    fn a_panicked_compile_does_not_block_its_shard() {
         let set = ShardSet::new(&config(), 1, 1);
         let shard = &set.shards()[0];
-        // Park the worker on a job that waits for permission to finish,
-        // then fill the queue behind it.
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let (started_tx, started_rx) = mpsc::channel::<()>();
-        shard
-            .submit(Box::new(move |_| {
-                started_tx.send(()).unwrap();
-                release_rx.recv().unwrap();
-            }))
-            .unwrap();
-        started_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("worker picks up the first job");
-        shard
-            .submit(Box::new(|_| {}))
-            .expect("queue has room for 1");
-        let shed = shard.submit(Box::new(|_| {})).expect_err("queue is full");
-        assert_eq!(shed, ShedError { shard: 0, depth: 1 });
-        release_tx.send(()).unwrap();
-    }
-
-    #[test]
-    fn workers_execute_jobs_and_count_them() {
-        let set = ShardSet::new(&config(), 2, 16);
-        let (tx, rx) = mpsc::channel();
-        for i in 0..8u64 {
-            let tx = tx.clone();
-            set.route(i)
-                .submit(Box::new(move |_| tx.send(i).unwrap()))
-                .unwrap();
-        }
-        drop(tx);
-        let mut seen: Vec<u64> = rx.iter().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..8).collect::<Vec<_>>());
-        let executed: u64 = set
-            .shards()
-            .iter()
-            .map(|s| s.executed.load(Ordering::Relaxed))
-            .sum();
-        assert_eq!(executed, 8);
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _turn = shard.turn().unwrap();
+                    panic!("a compile panics while holding the turn");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(shard.turn().is_ok(), "the poisoned turn is taken again");
+        assert_eq!(shard.waiters.load(Ordering::Relaxed), 0);
     }
 }

@@ -36,12 +36,14 @@
 //!     --stdio            serve stdin/stdout (the default transport)
 //!     --tcp <addr>       serve TCP connections on <addr> (e.g. 127.0.0.1:4750)
 //!     --cache-max <N>    bound the allocation cache at ~N entries (FIFO eviction)
-//!     --shards <N>       shard workers, each with its own cache (default 0 = cores)
-//!     --queue-depth <N>  queued requests per shard before shedding (default 256)
+//!     --shards <N>       cache shards, each compiling one request at a time
+//!                        (default 0 = one per core)
+//!     --queue-depth <N>  requests waiting per shard before shedding (default 256)
 //!     --read-deadline <ms>     reap connections with no complete request
 //!                              within <ms> (default 10000; 0 disables)
-//!     --compute-deadline <ms>  answer `compute_deadline` when a compile
-//!                              outruns <ms> (default 30000; 0 disables)
+//!     --compute-deadline <ms>  answer `compute_deadline` when the wait for
+//!                              a shard plus the compile outruns <ms>
+//!                              (default 30000; 0 disables)
 //!     --max-connections <N>    refuse connections past N with `busy` (default 1024)
 //!
 //! loadgen-only (plus the serve knobs above, forwarded to the spawned server):
@@ -188,10 +190,10 @@ fn usage() -> &'static str {
      \x20     --stdio            serve stdin/stdout (the default transport)\n\
      \x20     --tcp <addr>       serve TCP connections on <addr>\n\
      \x20     --cache-max <N>    bound the allocation cache at ~N entries\n\
-     \x20     --shards <N>       shard workers (default 0 = one per core)\n\
-     \x20     --queue-depth <N>  queued requests per shard before shedding (default 256)\n\
+     \x20     --shards <N>       cache shards, one compile at a time each (default 0 = one per core)\n\
+     \x20     --queue-depth <N>  requests waiting per shard before shedding (default 256)\n\
      \x20     --read-deadline <ms>     reap slow clients (default 10000; 0 = off)\n\
-     \x20     --compute-deadline <ms>  per-compile budget (default 30000; 0 = off)\n\
+     \x20     --compute-deadline <ms>  shard wait + compile budget (default 30000; 0 = off)\n\
      \x20     --max-connections <N>    refuse connections past N (default 1024)\n\
      \n\
      loadgen-only options (serve knobs above reach the spawned server):\n\
