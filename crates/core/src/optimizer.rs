@@ -1,6 +1,8 @@
 //! The end-to-end optimizer: Phase 1 + Phase 2 behind one call.
 
+use std::cell::OnceCell;
 use std::fmt;
+use std::ops::RangeInclusive;
 use std::sync::{Arc, OnceLock};
 
 use raco_graph::{BbOptions, DistanceModel, PathCover};
@@ -10,7 +12,7 @@ use raco_obs::Histogram;
 use crate::cost::CostModel;
 use crate::partition;
 use crate::phase1::{self, Phase1Report};
-use crate::phase2::{self, MergeStrategy, Phase2Report};
+use crate::phase2::{self, MergeStrategy, Phase2Report, Trajectory};
 
 /// Global latency histogram for Phase-1 branch-and-bound runs,
 /// resolved once (metric `core.phase1`, nanoseconds).
@@ -19,9 +21,10 @@ fn phase1_histogram() -> &'static Arc<Histogram> {
     HISTOGRAM.get_or_init(|| raco_obs::global().histogram("core.phase1"))
 }
 
-/// Global latency histogram for Phase-2 merge runs (one observation per
-/// [`Optimizer::best_phase2`] call, so MR selection sweeps record each
-/// register count they evaluate; metric `core.phase2`, nanoseconds).
+/// Global latency histogram for Phase-2 runs (metric `core.phase2`,
+/// nanoseconds). One observation per run: one per [`Optimizer::sweep`],
+/// whatever its register range, and one per single-register-count
+/// allocation.
 fn phase2_histogram() -> &'static Arc<Histogram> {
     static HISTOGRAM: OnceLock<Arc<Histogram>> = OnceLock::new();
     HISTOGRAM.get_or_init(|| raco_obs::global().histogram("core.phase2"))
@@ -183,7 +186,7 @@ impl Optimizer {
 
     fn allocate_model_with_registers(&self, dm: DistanceModel, k: usize) -> Allocation {
         let phase1 = self.phase1(&dm);
-        let phase2 = self.best_phase2(&phase1, &dm, k);
+        let phase2 = self.phase2_at(&phase1, &dm, k);
         self.finish_allocation(dm, phase1, phase2)
     }
 
@@ -210,56 +213,82 @@ impl Optimizer {
         }
     }
 
-    /// Runs Phase 2 down to `k` registers under the configured cost
-    /// model.
+    /// Runs Phase 2 down to `k` registers: the report of
+    /// [`phase2_range`](Self::phase2_range) at `k`.
+    fn phase2_at(&self, phase1: &Phase1Report, dm: &DistanceModel, k: usize) -> Phase2Report {
+        self.phase2_range(phase1, dm, k..=k)
+            .pop()
+            .expect("one report per register count")
+    }
+
+    /// Runs Phase 2 under the configured cost model for every register
+    /// count in `ks`, one report per count, recording one `core.phase2`
+    /// observation.
     ///
     /// On machines with modify registers the greedy merge *selection*
     /// is swept across pricing aggressiveness — each `m' ∈ 0..=MR`
     /// ranks candidates as if `m'` modify registers were available —
     /// and every resulting cover is judged under the one true MR-aware
-    /// model; the cheapest wins (ties to the smallest `m'`, i.e. the
-    /// paper's plain greedy). The sweep makes the predicted cost
-    /// monotone in the machine's MR count by construction: the
-    /// candidate set only grows with MR, and a fixed cover never gets
-    /// more expensive when another modify register appears. With zero
-    /// modify registers (or a non-greedy strategy, where selection
-    /// ignores the model) this is a single plain [`phase2::merge_until`]
-    /// run, byte-identical to the pre-MR behaviour.
-    fn best_phase2(&self, phase1: &Phase1Report, dm: &DistanceModel, k: usize) -> Phase2Report {
-        phase2_histogram().time(|| self.best_phase2_inner(phase1, dm, k))
-    }
-
-    fn best_phase2_inner(
+    /// model; per register count the cheapest wins (ties to the
+    /// smallest `m'`, i.e. the paper's plain greedy). The sweep makes
+    /// the predicted cost monotone in the machine's MR count by
+    /// construction: the candidate set only grows with MR, and a fixed
+    /// cover never gets more expensive when another modify register
+    /// appears. With zero modify registers (or a non-greedy strategy,
+    /// where selection ignores the model) there is one level, the plain
+    /// [`phase2::merge_until`] run, byte-identical to the pre-MR
+    /// behaviour.
+    ///
+    /// Each level walks **one** merge trajectory and reads every count's
+    /// report off it (see [`phase2::merge_until_with_selection`]): the
+    /// greedy pick depends only on the current cover, so the merges
+    /// down to `k` are a prefix of the merges down to any smaller
+    /// count.
+    fn phase2_range(
         &self,
         phase1: &Phase1Report,
         dm: &DistanceModel,
-        k: usize,
-    ) -> Phase2Report {
-        let model = self.options.cost_model;
-        let mr = model.modify_registers();
-        if mr == 0 || self.options.strategy != MergeStrategy::GreedyMinCost {
-            return phase2::merge_until(phase1.cover(), k, dm, model, self.options.strategy);
-        }
-        // A cover has exactly one step per access, so selection pricing
-        // beyond `len` distinct deltas cannot change any ranking.
-        let cap = mr.min(dm.len());
-        let mut best: Option<(u32, Phase2Report)> = None;
-        for priced in 0..=cap {
-            let selection = model.with_modify_registers(priced);
-            let report = phase2::merge_until_with_selection(
-                phase1.cover(),
-                k,
-                dm,
-                model,
-                selection,
-                self.options.strategy,
-            );
-            let cost = model.cover_cost(report.cover(), dm);
-            if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                best = Some((cost, report));
-            }
-        }
-        best.expect("sweep runs at least once").1
+        ks: RangeInclusive<usize>,
+    ) -> Vec<Phase2Report> {
+        phase2_histogram().time(|| {
+            let model = self.options.cost_model;
+            let strategy = self.options.strategy;
+            let mr = model.modify_registers();
+            let selections: Vec<CostModel> = if mr == 0 || strategy != MergeStrategy::GreedyMinCost
+            {
+                vec![model]
+            } else {
+                // A cover has exactly one step per access, so selection
+                // pricing beyond `len` distinct deltas cannot change any
+                // ranking.
+                (0..=mr.min(dm.len()))
+                    .map(|priced| model.with_modify_registers(priced))
+                    .collect()
+            };
+            let steps = OnceCell::new();
+            let levels: Vec<Trajectory> = selections
+                .into_iter()
+                .map(|selection| {
+                    Trajectory::walk(
+                        phase1.cover(),
+                        ks.clone(),
+                        dm,
+                        model,
+                        selection,
+                        strategy,
+                        &steps,
+                    )
+                })
+                .collect();
+            ks.map(|k| {
+                levels
+                    .iter()
+                    .min_by_key(|level| level.cost(k))
+                    .expect("at least one selection level")
+                    .report(k)
+            })
+            .collect()
+        })
     }
 
     /// Allocates every array of a loop, distributing the `K` registers
@@ -352,26 +381,24 @@ impl Optimizer {
             && self.options.strategy == MergeStrategy::GreedyMinCost
         {
             // MR-aware greedy allocations come out of a selection sweep
-            // (see best_phase2), whose result a single merge trajectory
-            // cannot reproduce — run the sweep per register count so
-            // curve entries equal what allocation at that count costs,
-            // and keep each count's report for the allocation.
-            let reports: Vec<Phase2Report> = (1..=k_max)
-                .map(|k| self.best_phase2(&phase1, &dm, k))
-                .collect();
-            let costs = reports
-                .iter()
-                .map(|r| self.options.cost_model.cover_cost(r.cover(), &dm));
+            // (see phase2_range), whose winner can differ per register
+            // count, so a single merge trajectory cannot give the curve:
+            // keep each count's report, for the curve and for the
+            // allocation.
+            let reports = self.phase2_range(&phase1, &dm, 1..=k_max);
+            let costs = reports.iter().map(Phase2Report::final_cost);
             (running_min(costs), reports)
         } else {
             let base_cost = self.options.cost_model.cover_cost(phase1.cover(), &dm);
-            let trajectory = phase2::merge_until(
-                phase1.cover(),
-                1,
-                &dm,
-                self.options.cost_model,
-                self.options.strategy,
-            );
+            let trajectory = phase2_histogram().time(|| {
+                phase2::merge_until(
+                    phase1.cover(),
+                    1,
+                    &dm,
+                    self.options.cost_model,
+                    self.options.strategy,
+                )
+            });
             let costs = (1..=k_max).map(|k| trajectory.cost_at(k).unwrap_or(base_cost));
             (running_min(costs), Vec::new())
         };
@@ -437,7 +464,7 @@ impl Sweep<'_> {
         let phase2 = if (1..=reports.len()).contains(&k) {
             reports.swap_remove(k - 1)
         } else {
-            optimizer.best_phase2(&phase1, &dm, k)
+            optimizer.phase2_at(&phase1, &dm, k)
         };
         optimizer.finish_allocation(dm, phase1, phase2)
     }
@@ -926,16 +953,6 @@ mod tests {
                 assert_eq!(**alloc, standalone, "MR={mr} array={array:?} K={ka}");
             }
         }
-    }
-
-    #[test]
-    fn core_phase_histograms_accumulate() {
-        let opt = Optimizer::new(AguSpec::new(2, 1).unwrap());
-        let before = raco_obs::global().histogram("core.phase1").snapshot().count;
-        let _ = opt.allocate(&paper_pattern());
-        let after = raco_obs::global().histogram("core.phase1").snapshot().count;
-        assert_eq!(after, before + 1, "one Phase-1 run per allocation");
-        assert!(raco_obs::global().histogram("core.phase2").snapshot().count >= 1);
     }
 
     #[test]

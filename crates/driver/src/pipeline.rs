@@ -851,7 +851,6 @@ mod tests {
 
     #[test]
     fn repeated_shapes_hit_the_cache() {
-        let pipeline = pipeline(4);
         let source: String = (0..8)
             .map(|i| {
                 format!(
@@ -860,15 +859,42 @@ mod tests {
                 )
             })
             .collect();
+        // 8 identical loops of two shapes: 16 lookups per table. In
+        // order, the first loop misses both shapes and everything after
+        // it is a pure hit.
+        let mut config = PipelineConfig::new(AguSpec::new(4, 1).unwrap());
+        config.parallelism = Parallelism::Sequential;
+        let sequential = Pipeline::with_config(config)
+            .compile_str("repeats", &source)
+            .unwrap();
+        assert_eq!(sequential.failed(), 0);
+        let stats = sequential.cache;
+        assert_eq!(
+            (stats.allocation_hits, stats.allocation_misses),
+            (14, 2),
+            "{stats:?}"
+        );
+        assert_eq!((stats.curve_hits, stats.curve_misses), (14, 2), "{stats:?}");
+        assert_eq!(stats.allocation_entries, 2, "x-chain and y-singleton");
+
+        // A worker pool can miss one shape on two workers at once; both
+        // compute it, and the cache keeps the first write (a racing
+        // duplicate is deterministic, see cache.rs). So only the totals,
+        // the entries and the results are fixed.
+        let pipeline = pipeline(4);
         let report = pipeline.compile_str("repeats", &source).unwrap();
         assert_eq!(report.failed(), 0);
         let stats = report.cache;
-        // 8 identical loops: everything after the first is a pure hit.
-        assert!(
-            stats.allocation_hits >= 14,
-            "expected hits for 7 repeated loops, got {stats:?}"
+        assert_eq!(
+            stats.allocation_hits + stats.allocation_misses,
+            16,
+            "{stats:?}"
         );
+        assert_eq!(stats.curve_hits + stats.curve_misses, 16, "{stats:?}");
         assert_eq!(stats.allocation_entries, 2, "x-chain and y-singleton");
+        for (a, b) in sequential.loops().zip(report.loops()) {
+            assert_eq!(a, b, "results identical in order and in parallel");
+        }
 
         // Clearing empties the tables (counters are cumulative) and
         // the next batch repopulates them with identical results.

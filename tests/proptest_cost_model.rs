@@ -16,7 +16,10 @@
 //!   Figure 1 reproduction cannot drift);
 //! * **sweep reuse** — a register sweep reproduces `cost_curve`, and
 //!   finishing it at any register count reproduces
-//!   `allocate_with_registers`;
+//!   `allocate_with_registers`, at the built-in machines' sizes (up to
+//!   8 address and 8 modify registers);
+//! * **incremental pricing** — Phase 2's merge pricer agrees with
+//!   re-pricing the merged cover from scratch;
 //! * **cache-key soundness** — machines differing only in MR count
 //!   never share allocation-cache entries, in memory or through
 //!   snapshots, and pre-bump snapshots are rejected cleanly.
@@ -25,8 +28,10 @@ use proptest::prelude::*;
 
 use raco::agu::codegen::CodeGenerator;
 use raco::agu::sim;
-use raco::core::{Optimizer, OptimizerOptions};
+use raco::core::phase2::MergePricer;
+use raco::core::{CostModel, Optimizer, OptimizerOptions};
 use raco::driver::{persist, AllocationCache, Pipeline, PipelineConfig};
+use raco::graph::{DistanceModel, Path, PathCover};
 use raco::ir::{
     AccessKind, AccessPattern, AguSpec, CanonicalPattern, CostTable, LoopSpec, MemoryLayout, Trace,
     UpdateRange,
@@ -39,6 +44,35 @@ fn pattern() -> impl Strategy<Value = (Vec<i64>, i64, u32)> {
         prop_oneof![Just(1i64), Just(-1i64), Just(2i64), Just(-3i64), Just(5i64)],
         0u32..=2,
     )
+}
+
+/// Strategy: the update windows the sweep and pricing properties cover,
+/// asymmetric ones included.
+fn update_range() -> impl Strategy<Value = UpdateRange> {
+    prop_oneof![
+        Just(UpdateRange::symmetric(0)),
+        Just(UpdateRange::symmetric(1)),
+        Just(UpdateRange::symmetric(2)),
+        Just(UpdateRange::new(0, 1).unwrap()),
+        Just(UpdateRange::new(-1, 3).unwrap()),
+    ]
+}
+
+/// The cover whose paths group the accesses by label: access `i` lies
+/// on the path of `labels[i]`. Random labels give anything from all
+/// singletons to one chain, zero-cost and relaxed covers alike.
+fn cover_from_labels(labels: &[usize]) -> PathCover {
+    let mut paths: Vec<Vec<usize>> = Vec::new();
+    let mut path_of_label = std::collections::HashMap::new();
+    for (access, label) in labels.iter().enumerate() {
+        let path = *path_of_label.entry(label).or_insert_with(|| {
+            paths.push(Vec::new());
+            paths.len() - 1
+        });
+        paths[path].push(access);
+    }
+    let paths = paths.into_iter().map(|p| Path::new(p).unwrap()).collect();
+    PathCover::new(paths, labels.len()).unwrap()
 }
 
 /// Builds a single-array loop whose pattern is exactly `offsets`.
@@ -191,16 +225,10 @@ proptest! {
     #[test]
     fn sweeps_reproduce_curves_and_allocations(
         (offsets, stride, _) in pattern(),
-        range in prop_oneof![
-            Just(UpdateRange::symmetric(0)),
-            Just(UpdateRange::symmetric(1)),
-            Just(UpdateRange::symmetric(2)),
-            Just(UpdateRange::new(0, 1).unwrap()),
-            Just(UpdateRange::new(-1, 3).unwrap()),
-        ],
+        range in update_range(),
         costs in prop_oneof![Just(CostTable::UNIT), Just(CostTable::new(1, 2, 2).unwrap())],
-        k in 1usize..=4,
-        mr in 0usize..=3,
+        k in 1usize..=8,
+        mr in 0usize..=8,
     ) {
         let pattern = AccessPattern::from_offsets(&offsets, stride);
         let agu = AguSpec::new(k, 1)
@@ -221,6 +249,61 @@ proptest! {
                 optimizer.allocate_with_registers(&pattern, j),
                 "j={} {:?} offsets {:?} stride {}", j, agu, &offsets, stride
             );
+        }
+    }
+
+    /// Phase 2 prices a merge candidate incrementally; the price must
+    /// equal the oracle: clone the cover, merge the pair, and re-price
+    /// it with `cover_cost`. Random covers (zero-cost and relaxed), both
+    /// wrap conventions, 0..=4 modify registers and ADDA costs 1–2. The
+    /// best (or, with `worst`, the worst) pair must win the oracle's
+    /// ranking too; the pricer then follows that merge, so every cover
+    /// down to one path is checked.
+    #[test]
+    fn merge_pricer_matches_repricing_the_merged_cover(
+        (offsets, stride, _) in pattern(),
+        range in update_range(),
+        labels in prop::collection::vec(0usize..6, 10),
+        wrap in prop::bool::ANY,
+        worst in prop::bool::ANY,
+        mr in 0usize..=4,
+        adda in 1u32..=2,
+    ) {
+        let dm = DistanceModel::from_offsets_range(&offsets, stride, range);
+        let mut cover = cover_from_labels(&labels[..offsets.len()]);
+        let base = if wrap { CostModel::steady_state() } else { CostModel::paper_literal() };
+        let model = base.with_modify_registers(mr).with_adda_cost(adda);
+        let mut pricer = MergePricer::new(&cover, &dm, model);
+        loop {
+            prop_assert_eq!(pricer.cost(), model.cover_cost(&cover, &dm), "{}", &cover);
+            let p = cover.register_count();
+            if p < 2 {
+                break;
+            }
+            let mut best: Option<((u32, usize, usize, usize), u32)> = None;
+            for i in 0..p {
+                for j in (i + 1)..p {
+                    let mut merged = cover.clone();
+                    merged.merge_pair(i, j).unwrap();
+                    let cost = model.cover_cost(&merged, &dm);
+                    prop_assert_eq!(
+                        pricer.merged_cost(&cover, i, j),
+                        cost,
+                        "{} merging {} and {}: {:?} offsets {:?} stride {}",
+                        &cover, i, j, model, &offsets, stride
+                    );
+                    let primary = if worst { u32::MAX - cost } else { cost };
+                    let merged_len = cover.paths()[i].len() + cover.paths()[j].len();
+                    let rank = (primary, merged_len, i, j);
+                    if best.as_ref().is_none_or(|(r, _)| rank < *r) {
+                        best = Some((rank, cost));
+                    }
+                }
+            }
+            let ((_, _, i, j), cost) = best.unwrap();
+            prop_assert_eq!(pricer.best_pair(&cover, worst), (i, j, cost), "{}", &cover);
+            pricer.merge(&cover, i, j);
+            cover.merge_pair(i, j).unwrap();
         }
     }
 }
